@@ -31,6 +31,7 @@ from .qfuncs import (
     orbit_contribution,
     principal_part_remainder,
     series_coefficients,
+    stirling2,
     unit_disk_poles,
     with_laurent,
 )
@@ -38,78 +39,12 @@ from .qfuncs import (
 _N_MAX = 64
 
 
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, by the standard recurrence."""
-    if not (0 <= k <= n <= _N_MAX):
-        raise ValueError("stirling2 arguments out of range")
-    row = [1]
-    for nn in range(1, n + 1):
-        new = [0] * (nn + 1)
-        for kk in range(1, nn + 1):
-            above = row[kk] if kk < len(row) else 0
-            left = row[kk - 1]
-            new[kk] = kk * above + left
-        row = new
-    return row[k]
-
-
 def bernoulli(n: int) -> Fraction:
     """n-th Bernoulli number (B_1 = -1/2), via series inversion of (e^x - 1)/x."""
     if not (0 <= n <= _N_MAX):
         raise ValueError("bernoulli argument out of range")
-    e_series = [Fraction(1, factorial(j + 1)) for j in range(n + 1)]
-    inv = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            acc += e_series[j] * inv[m - j]
-        inv.append(-acc)
-    return inv[n] * factorial(n)
-
-
-@dataclass(frozen=True)
-class CombinatoricsTables:
-    """Precomputed Stirling-2 rows and Bernoulli numbers up to a bound."""
-
-    stirling2: tuple[tuple[int, ...], ...]
-    bernoulli: tuple[Fraction, ...]
-
-
-def combinatorics_tables(n_max: int) -> CombinatoricsTables:
-    if not (0 <= n_max <= _N_MAX):
-        raise ValueError("table bound out of range")
-    rows = [(1,)]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            above = prev[k] if k < len(prev) else 0
-            row[k] = k * above + prev[k - 1]
-        rows.append(tuple(row))
-    return CombinatoricsTables(
-        stirling2=tuple(rows),
-        bernoulli=tuple(bernoulli(n) for n in range(n_max + 1)),
-    )
-
-
-def _invert_unit_series(a: list[Fraction], length: int) -> list[Fraction]:
-    out = [1 / a[0]]
-    for m in range(1, length):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            aj = a[j] if j < len(a) else Fraction(0)
-            acc += aj * out[m - j]
-        out.append(-acc / a[0])
-    return out
-
-
-def _mul_series(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:
-    out = [Fraction(0)] * length
-    for i, ai in enumerate(a[:length]):
-        if ai:
-            for j in range(min(len(b), length - i)):
-                out[i + j] += ai * b[j]
-    return out
+    e_series = QPoly([Fraction(1, factorial(j + 1)) for j in range(n + 1)])
+    return series_coefficients(QRatFunc(QPoly((1,)), e_series), n)[n] * factorial(n)
 
 
 def lemma51_check(n: int, order: int) -> bool:
@@ -124,16 +59,16 @@ def lemma51_check(n: int, order: int) -> bool:
         raise ValueError("n must be positive")
     length = order + n + 1
     # 1 - e^(-x) = x * U(x)
-    u_series = [Fraction((-1) ** j, factorial(j + 1)) for j in range(length)]
-    inv_u = _invert_unit_series(u_series, length)
+    u_series = QPoly([Fraction((-1) ** j, factorial(j + 1)) for j in range(length)])
+    inv_u = QPoly(series_coefficients(QRatFunc(QPoly((1,)), u_series), length - 1))
     # left side, as coefficients of x^(j) for j in [-n, order]
     lhs = [Fraction(0)] * (order + n + 1)
-    power = [Fraction(1)] + [Fraction(0)] * (length - 1)
+    power = QPoly((1,))
     for k in range(1, n + 1):
-        power = _mul_series(power, inv_u, length)
+        power = QPoly((power * inv_u).coeffs[:length])
         beta = Fraction((-1) ** (n + k) * factorial(k - 1) * stirling2(n, k), factorial(n - 1))
         if beta:
-            for j, c in enumerate(power):
+            for j, c in enumerate(power.coeffs):
                 idx = j - k + n  # order j - k, stored at offset n
                 if 0 <= idx <= order + n:
                     lhs[idx] += beta * c

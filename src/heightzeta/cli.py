@@ -80,10 +80,25 @@ def _field_from_spec(data: dict) -> FqField:
     return FqField(p, e, mod.coeffs)
 
 
+def _require_int(value, what: str):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 def load_spec(data: dict) -> ProblemSpec:
     for key in ("q", "genus", "d"):
         if key not in data:
             raise InputError(f"spec is missing {key!r}")
+        _require_int(data[key], key)
+    if data["genus"] not in (0, 1):
+        raise InputError("genus must be 0 or 1")
+    if data.get("frobenius_trace") is not None:
+        _require_int(data["frobenius_trace"], "frobenius_trace")
+    for key in ("f", "h", "base_modulus"):
+        if key in data and not isinstance(data[key], str):
+            raise InputError(f"{key} must be a string, got {data[key]!r}")
+    if "bad_places" in data and not isinstance(data["bad_places"], list):
+        raise InputError("bad_places must be a list")
     genus = data["genus"]
     d = data["d"]
     has_f = "f" in data
@@ -110,10 +125,11 @@ def load_spec(data: dict) -> ProblemSpec:
         return spec
     bad = []
     for entry in data["bad_places"]:
-        try:
-            bad.append(BadPlace(f_v=int(entry["f_v"]), vf=int(entry["vf"])))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed bad_places entry {entry!r}") from exc
+        if not isinstance(entry, dict) or "f_v" not in entry or "vf" not in entry:
+            raise InputError(f"malformed bad_places entry {entry!r}")
+        _require_int(entry["f_v"], "f_v")
+        _require_int(entry["vf"], "vf")
+        bad.append(BadPlace(f_v=entry["f_v"], vf=entry["vf"]))
     return ProblemSpec(
         q=data["q"],
         genus=genus,
@@ -276,15 +292,16 @@ def cmd_asymptote(args) -> int:
         except BudgetExceeded:
             oracle_counts = None
     for k in ks:
+        predicted = main_term(report, k)
         row = {
             "k": k,
             "bound": f"{spec.q}^({k}/{spec.d})",
-            "main_term": _frac(main_term(report, k)),
+            "main_term": _frac(predicted),
         }
         if oracle_counts is not None:
             n_oracle = sum(v for m, v in oracle_counts.counts.items() if m <= k)
             row["oracle"] = n_oracle
-            row["difference"] = _frac(n_oracle - main_term(report, k))
+            row["difference"] = _frac(n_oracle - predicted)
         rows.append(row)
     payload = {"alpha_exponent": report.alpha_exponent, "rows": rows}
     if args.format == "json":

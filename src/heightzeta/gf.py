@@ -224,21 +224,6 @@ class FqField:
         return PolyFq(self, (0, 1))
 
 
-def fq_arith(field: FqField, a: int, b: int, op: str) -> int:
-    """Dispatch a single field operation by name (add/sub/mul/div/pow)."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "div":
-        return field.div(a, b)
-    if op == "pow":
-        return field.pow_(a, b)
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 def _modulus_irreducible(p: int, mod: tuple[int, ...]) -> bool:
     base = FqField(p)
     return PolyFq(base, mod).is_irreducible()
@@ -568,11 +553,6 @@ def _equal_degree_split(f: PolyFq, k: int):
             )
 
 
-def poly_factor(f: PolyFq):
-    unit, factors = f.factor()
-    return unit, factors
-
-
 def monic_polys(field: FqField, degree: int):
     """All monic polynomials of the given degree, lexicographic in ascending coeffs."""
     if degree == 0:
@@ -708,10 +688,6 @@ class RatFuncFq:
 
     def __repr__(self):
         return f"RatFuncFq({poly_to_string(self.num)!r}, {poly_to_string(self.den)!r})"
-
-
-def ratfunc_canonical(num: PolyFq, den: PolyFq) -> RatFuncFq:
-    return RatFuncFq(num, den)
 
 
 def ratfunc_from_poly(f: PolyFq) -> RatFuncFq:

@@ -18,15 +18,13 @@ in the tests:
   F_q[t]/Q and the divisibility of Q by the bad places.  No zeta identity
   enters: this is still counting from first principles, place by place.
 
-Whichever strategy runs, work is split over denominator chunks and merged
-by commutative addition, so results are independent of the chunk count; the
-HEIGHTZETA_THREADS environment variable caps the worker pool.
+Both strategies walk the monic denominators once, serially, in the order
+above, and add each denominator's tally into one count dict; the strategy
+only decides how a single denominator is tallied.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .gf import FqField, PolyFq, RatFuncFq, all_polys, monic_polys
@@ -75,6 +73,17 @@ def max_height_exponent_within_budget(q: int, budget: int = DEFAULT_BUDGET) -> i
     return n
 
 
+def _denominators(field: FqField, n: int):
+    """All monic denominators of degree <= n, by degree, then lexicographic."""
+    for b in range(n + 1):
+        yield from monic_polys(field, b)
+
+
+def _check_method(method: str):
+    if method not in ("fast", "enumerate"):
+        raise ValueError(f"unknown counting method {method!r}")
+
+
 def _coprime_numerators(field: FqField, den: PolyFq, n: int):
     if den.is_one():
         yield from all_polys(field, n)
@@ -92,51 +101,9 @@ def enumerate_elements(
     if n < 0:
         raise ValueError("height exponent bound must be >= 0")
     _check_budget(field, n, budget, override)
-    for b in range(n + 1):
-        for den in monic_polys(field, b):
-            for num in _coprime_numerators(field, den, n):
-                yield RatFuncFq(num, den)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HEIGHTZETA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _merge(dicts):
-    out: dict[int, int] = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0) + v
-    return out
-
-
-def _chunked_denominators(field: FqField, n: int, chunks: int):
-    dens = [den for b in range(n + 1) for den in monic_polys(field, b)]
-    if chunks <= 1:
-        return [dens]
-    size = (len(dens) + chunks - 1) // chunks
-    return [dens[i : i + size] for i in range(0, len(dens), size)]
-
-
-def _run_chunks(field: FqField, n: int, per_denominator):
-    """Apply per_denominator over all monic denominators, merging count dicts."""
-    workers = _worker_count()
-    chunks = _chunked_denominators(field, n, workers)
-
-    def run(chunk):
-        local: dict[int, int] = {}
-        for den in chunk:
-            per_denominator(den, local)
-        return local
-
-    if len(chunks) == 1:
-        return run(chunks[0])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _merge(pool.map(run, chunks))
+    for den in _denominators(field, n):
+        for num in _coprime_numerators(field, den, n):
+            yield RatFuncFq(num, den)
 
 
 def _unit_count(den: PolyFq) -> int:
@@ -187,30 +154,20 @@ def count_canonical_heights(
     d = phi.d
     n = m_max // d
     _check_budget(field, n, budget, override)
-    bad = phi.bad_places
-
-    if method == "enumerate":
-        def per_den(den: PolyFq, local: dict[int, int]):
-            for num in _coprime_numerators(field, den, n):
-                m = canonical_height_exp(RatFuncFq(num, den), phi)
-                if m <= m_max:
-                    local[m] = local.get(m, 0) + 1
-
-    elif method == "fast":
-        def per_den(den: PolyFq, local: dict[int, int]):
-            corr = 0
-            for bp in bad:
-                if not (den % bp.pi).is_zero():
-                    corr += bp.f_v * bp.vf
-            for h, count in _degree_class_counts(field, den, n):
-                m = d * h + corr
-                if m <= m_max:
-                    local[m] = local.get(m, 0) + count
-
-    else:
-        raise ValueError(f"unknown counting method {method!r}")
-
-    counts = _run_chunks(field, n, per_den)
+    _check_method(method)
+    counts: dict[int, int] = {}
+    for den in _denominators(field, n):
+        if method == "fast":
+            corr = sum(bp.f_v * bp.vf for bp in phi.bad_places if not (den % bp.pi).is_zero())
+            tally = ((d * h + corr, c) for h, c in _degree_class_counts(field, den, n))
+        else:
+            tally = (
+                (canonical_height_exp(RatFuncFq(num, den), phi), 1)
+                for num in _coprime_numerators(field, den, n)
+            )
+        for m, c in tally:
+            if m <= m_max:
+                counts[m] = counts.get(m, 0) + c
     return CountTable(q=field.q, d=d, counts=counts, max_m=m_max)
 
 
@@ -229,36 +186,23 @@ def count_region(
     denominator.
     """
     field = phi.field
-    t_set = frozenset(t_set)
     _check_budget(field, h_max, budget, override)
+    _check_method(method)
     bad = phi.bad_places
-
-    def profile(den: PolyFq) -> frozenset:
-        return frozenset(
-            i for i, bp in enumerate(bad) if (den % bp.pi).is_zero()
-        )
-
-    want = frozenset(range(len(bad))) - t_set
-
-    if method == "enumerate":
-        def per_den(den: PolyFq, local: dict[int, int]):
-            if profile(den) != want:
-                return
-            for num in _coprime_numerators(field, den, h_max):
-                h = standard_height_exp(RatFuncFq(num, den))
-                local[h] = local.get(h, 0) + 1
-
-    elif method == "fast":
-        def per_den(den: PolyFq, local: dict[int, int]):
-            if profile(den) != want:
-                return
-            for h, count in _degree_class_counts(field, den, h_max):
-                local[h] = local.get(h, 0) + count
-
-    else:
-        raise ValueError(f"unknown counting method {method!r}")
-
-    counts = _run_chunks(field, h_max, per_den)
+    want = frozenset(range(len(bad))) - frozenset(t_set)
+    counts: dict[int, int] = {}
+    for den in _denominators(field, h_max):
+        if frozenset(i for i, bp in enumerate(bad) if (den % bp.pi).is_zero()) != want:
+            continue
+        if method == "fast":
+            tally = _degree_class_counts(field, den, h_max)
+        else:
+            tally = (
+                (standard_height_exp(RatFuncFq(num, den)), 1)
+                for num in _coprime_numerators(field, den, h_max)
+            )
+        for h, c in tally:
+            counts[h] = counts.get(h, 0) + c
     return CountTable(q=field.q, d=phi.d, counts=counts, max_m=h_max)
 
 

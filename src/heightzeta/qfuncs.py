@@ -26,6 +26,7 @@ from math import factorial, gcd, lcm
 import numpy as np
 
 _EQUAL_MODULUS_TOL = 1e-9
+_STIRLING_MAX = 64
 
 
 class MixedModulusError(ValueError):
@@ -362,18 +363,6 @@ class QRatFunc:
         return f"QRatFunc(({poly_str(self.num)})/({poly_str(self.den)}))"
 
 
-def qratfunc_arith(a: QRatFunc, b: QRatFunc, op: str) -> QRatFunc:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown rational-function operation {op!r}")
-
-
 def series_coefficients(z: QRatFunc, m_max: int) -> list[Fraction]:
     """Exact Taylor coefficients a_0..a_M of z at w = 0 (den(0) must be nonzero)."""
     den = z.den.coeffs
@@ -623,7 +612,7 @@ def exponent_gcd_normalize(z: QRatFunc):
     if e == 0:
         e = 1
     if e == 1:
-        return 1, QRatFunc(z.num, z.den)
+        return 1, z
     return e, QRatFunc(z.num.decimate(e), z.den.decimate(e))
 
 
@@ -761,18 +750,16 @@ def orbit_contribution(rec: PoleRecord, m: int) -> Fraction:
     return (u.pow_(-m) * acc).trace()
 
 
-def _stirling2_local(n: int, k: int) -> int:
-    if k == n:
-        return 1
-    if k == 0 or k > n:
-        return 0
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind, by the standard recurrence."""
+    if not (0 <= k <= n <= _STIRLING_MAX):
+        raise ValueError("stirling2 arguments out of range")
     row = [1]
     for nn in range(1, n + 1):
         new = [0] * (nn + 1)
         for kk in range(1, nn + 1):
             above = row[kk] if kk < len(row) else 0
-            left = row[kk - 1] if kk - 1 < len(row) else 0
-            new[kk] = kk * above + left
+            new[kk] = kk * above + row[kk - 1]
         row = new
     return row[k]
 
@@ -826,7 +813,7 @@ def _principal_part(rec: PoleRecord) -> QRatFunc:
             c_elem[i] = QPoly.const(coeff)
         for k in range(1, n + 1):
             beta = Fraction(
-                (-1) ** (n + k) * factorial(k - 1) * _stirling2_local(n, k),
+                (-1) ** (n + k) * factorial(k - 1) * stirling2(n, k),
                 factorial(n - 1),
             )
             term = c_elem
@@ -854,7 +841,7 @@ def principal_part_remainder(z: QRatFunc, records: list[PoleRecord]) -> QRatFunc
     total = QRatFunc.zero()
     for rec in records:
         total = total + _principal_part(rec)
-    g = QRatFunc(z.num, z.den) - total
+    g = z - total
     for rec in records:
         if g.den.gcd(rec.factor).degree > 0:
             raise RuntimeError("principal part subtraction left a strip pole")

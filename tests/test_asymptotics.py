@@ -6,7 +6,6 @@ import pytest
 from heightzeta.asymptotics import (
     bernoulli,
     build_report,
-    combinatorics_tables,
     lemma51_check,
     main_term,
     predicted_coefficient,
@@ -51,20 +50,6 @@ def test_bernoulli_recurrence():
     for n in range(1, 20):
         total = sum(comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
         assert total == 0
-
-
-def test_combinatorics_tables_invariants():
-    tables = combinatorics_tables(24)
-    s = tables.stirling2
-    for n in range(1, 24):
-        for k in range(1, n + 2):
-            above = s[n][k] if k < len(s[n]) else 0
-            assert s[n + 1][k] == k * above + s[n][k - 1]
-        for k in range(len(s[n])):
-            assert s[n][k] == stirling2(n, k)
-    for n in range(3, 25, 2):
-        assert tables.bernoulli[n] == 0
-    assert tables.bernoulli[2] == Fraction(1, 6)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heightzeta.cli as cli
 from heightzeta.cli import load_spec, main, spec_to_json
@@ -192,3 +194,66 @@ def test_abstract_genus0_spec_verifies(tmp_path, capsys):
     payload_out = json.loads(capsys.readouterr().out)
     assert payload_out["pass"] is True
     assert "series_vs_oracle" in {c["name"] for c in payload_out["checks"]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**G0, "d": "2"},
+        {**G0, "q": 5.0},
+        {**G0, "d": 2.0},
+        {**G0, "f": 7},
+        {**G0, "genus": False},
+        {**SPLIT_CURVE, "genus": 2},
+        {**INERT, "bad_places": 3},
+        {**INERT, "frobenius_trace": "0"},
+        {**INERT, "bad_places": [{"f_v": 1.5, "vf": 1}]},
+        {**INERT, "bad_places": [{"f_v": True, "vf": 1}]},
+    ],
+)
+def test_wrongly_typed_spec_fields_exit_2(tmp_path, capsys, payload):
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+F9_SPEC = {"q": 9, "genus": 0, "d": 2, "f": "t", "base_modulus": "t^2+1"}
+
+
+def _field_paths(payload):
+    paths = [(key,) for key in payload]
+    for i, entry in enumerate(payload.get("bad_places", [])):
+        paths += [("bad_places", i, key) for key in entry]
+    return paths
+
+
+# Integers and strings stay small: a large q, d or exponent makes a valid but
+# slow spec, which is not what this test is about.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("specs")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    target=st.sampled_from(
+        [(spec, path) for spec in (G0, INERT, SPLIT_CURVE, F9_SPEC) for path in _field_paths(spec)]
+    ),
+    value=JSON_SCALARS,
+)
+def test_any_scalar_in_any_field_runs_or_exits_2(spec_dir, target, value):
+    spec, path = target
+    payload = json.loads(json.dumps(spec))
+    holder = payload
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = value
+    assert main(["zeta", "--spec", _write(spec_dir, "s.json", payload)]) in (0, 2)

@@ -7,7 +7,6 @@ from heightzeta.gf import (
     PolyFq,
     RatFuncFq,
     all_polys,
-    fq_arith,
     irreducibles_up_to,
     monic_polys,
     poly_from_string,
@@ -24,11 +23,11 @@ F9 = FqField(3, 2, (1, 0, 1))
 
 
 def test_prime_field_arithmetic():
-    assert fq_arith(F5, 3, 4, "mul") == 2
+    assert F5.mul(3, 4) == 2
     assert F5.inv(2) == 3
-    assert fq_arith(F5, 2, -1, "pow") == 3
-    assert fq_arith(F5, 1, 4, "sub") == 2
-    assert fq_arith(F5, 2, 4, "div") == 3  # 2 * 4^-1 = 2*4 = 8 = 3
+    assert F5.pow_(2, -1) == 3
+    assert F5.sub(1, 4) == 2
+    assert F5.div(2, 4) == 3  # 2 * 4^-1 = 2*4 = 8 = 3
 
 
 def test_extension_field_modulus_relation():
@@ -40,7 +39,7 @@ def test_division_by_zero():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
         F5.inv(0)
     with pytest.raises(ZeroDivisionError):
-        fq_arith(F9, 1, 0, "div")
+        F9.div(1, 0)
 
 
 def test_bad_field_parameters():
@@ -196,7 +195,7 @@ def test_large_extension_field_without_tables():
         FqField(2, 21, tuple([1] * 22))
 
 
-def test_ratfunc_canonicalization():
+def test_ratfunc_reduces_to_lowest_terms():
     x = RatFuncFq(poly_from_string(F5, "2t+2"), F5.poly((2,)))
     assert poly_to_string(x.num) == "t+1" and x.den.is_one()
     y = RatFuncFq(poly_from_string(F5, "t^2-1"), poly_from_string(F5, "t-1"))

@@ -152,13 +152,3 @@ def test_cumulative_count_examples():
     assert cumulative_count(phi, 0) == 0
     phi0 = validate_phi(F5.poly_one(), 2)
     assert cumulative_count(phi0, 2) == 125
-
-
-def test_thread_env_does_not_change_results(monkeypatch):
-    phi = validate_phi(poly_from_string(F3, "t^2+2t"), 2)
-    base = count_canonical_heights(phi, 8)
-    monkeypatch.setenv("HEIGHTZETA_THREADS", "4")
-    threaded = count_canonical_heights(phi, 8)
-    assert base.counts == threaded.counts
-    monkeypatch.setenv("HEIGHTZETA_THREADS", "not-a-number")
-    assert count_canonical_heights(phi, 8).counts == base.counts
