@@ -6,6 +6,7 @@ from .asymptotics import (
     build_report,
     lemma51_check,
     main_term,
+    main_terms,
     predicted_coefficient,
     remainder_check,
     stirling2,
@@ -49,6 +50,7 @@ from .qfuncs import (
     principal_part_remainder,
     qpoly_factor,
     series_coefficients,
+    split_principal_parts,
     unit_disk_poles,
 )
 from .zeta import (

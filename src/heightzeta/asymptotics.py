@@ -7,9 +7,12 @@ The count of points with height up to B = q^(k/d) is predicted by
 
 and the error is O(1) because the per-coefficient differences a_m - p_m are
 the Taylor coefficients of the remainder (zeta minus all strip principal
-parts), whose denominator has all roots outside the closed unit disk.  All
-predictions are computed as exact rationals via quotient-field traces; the
-only floats are the certified decay base and the advisory pole locations.
+parts), whose denominator has all roots outside the closed unit disk.  So
+p_m is the m-th Taylor coefficient of the summed principal parts, and every
+main term is a prefix sum of that one rational series.  The trace formula
+above (orbit_contribution) computes p_m independently, as the check inside
+remainder_check.  All predictions are exact rationals; the only floats are
+the certified decay base and the advisory pole locations.
 
 Also here: the Stirling/Bernoulli toolkit whose identities drive the
 principal-part expansion, each verifiable to any desired series order.
@@ -29,8 +32,8 @@ from .qfuncs import (
     QRatFunc,
     exponent_gcd_normalize,
     orbit_contribution,
-    principal_part_remainder,
     series_coefficients,
+    split_principal_parts,
     stirling2,
     unit_disk_poles,
     with_laurent,
@@ -101,10 +104,10 @@ class AsymptoticReport:
     """Normalized zeta data ready for counting predictions.
 
     normalized is the zeta function rewritten in wtilde = alpha^(-s) with
-    alpha = q^(alpha_exponent/d); remainder = normalized minus all principal
-    parts; decay_base is a certified float upper bound (< 1) for the
-    geometric rate of the remainder coefficients, 0.0 when the remainder is
-    a polynomial.
+    alpha = q^(alpha_exponent/d); principal is the sum of all strip principal
+    parts, and remainder = normalized - principal; decay_base is a certified
+    float upper bound (< 1) for the geometric rate of the remainder
+    coefficients, 0.0 when the remainder is a polynomial.
     """
 
     q: int
@@ -112,6 +115,7 @@ class AsymptoticReport:
     alpha_exponent: int
     normalized: QRatFunc
     pole_records: tuple[PoleRecord, ...]
+    principal: QRatFunc
     remainder: QRatFunc
     decay_base: float
 
@@ -120,7 +124,7 @@ def build_report(z: QRatFunc, q: int, d: int) -> AsymptoticReport:
     """Locate strip poles, fill Laurent data, and split off the remainder."""
     e, zt = exponent_gcd_normalize(z)
     records = [with_laurent(zt, rec) for rec in unit_disk_poles(zt, q, d, e)]
-    remainder = principal_part_remainder(zt, records)
+    principal, remainder = split_principal_parts(zt, records)
     if remainder.den.degree == 0:
         decay = 0.0
     else:
@@ -134,6 +138,7 @@ def build_report(z: QRatFunc, q: int, d: int) -> AsymptoticReport:
         alpha_exponent=e,
         normalized=zt,
         pole_records=tuple(records),
+        principal=principal,
         remainder=remainder,
         decay_base=decay,
     )
@@ -146,16 +151,26 @@ def predicted_coefficient(report: AsymptoticReport, m: int) -> Fraction:
     )
 
 
-def main_term(report: AsymptoticReport, k: int) -> Fraction:
-    """Predicted count for B = q^(k/d): sum of p_m over alpha^m <= B.
+def main_terms(report: AsymptoticReport, k_max: int) -> list[Fraction]:
+    """Predicted counts for B = q^(k/d), every k <= k_max, from one series.
 
-    alpha^m <= q^(k/d) means m <= floor(k/e); the range is computed from
-    integer exponents only.
+    The k-th entry is the sum of p_m over alpha^m <= B, i.e. m <= floor(k/e)
+    (integer exponents only), with p_m the Taylor coefficients of the summed
+    principal parts.
     """
-    if k < 0:
+    if k_max < 0:
         raise ValueError("bound exponent must be >= 0")
-    top = k // report.alpha_exponent
-    return sum((predicted_coefficient(report, m) for m in range(top + 1)), Fraction(0))
+    e = report.alpha_exponent
+    prefix, total = [], Fraction(0)
+    for p_m in series_coefficients(report.principal, k_max // e):
+        total += p_m
+        prefix.append(total)
+    return [prefix[k // e] for k in range(k_max + 1)]
+
+
+def main_term(report: AsymptoticReport, k: int) -> Fraction:
+    """Predicted count for B = q^(k/d): sum of p_m over alpha^m <= B."""
+    return main_terms(report, k)[k]
 
 
 @dataclass(frozen=True)

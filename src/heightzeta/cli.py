@@ -26,7 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .asymptotics import build_report, main_term, remainder_check
+from .asymptotics import build_report, main_terms, remainder_check
 from .gf import FqField, poly_from_string, poly_to_string
 from .oracle import (
     DEFAULT_BUDGET,
@@ -291,8 +291,9 @@ def cmd_asymptote(args) -> int:
             oracle_counts = table
         except BudgetExceeded:
             oracle_counts = None
+    mains = main_terms(report, max(ks))
     for k in ks:
-        predicted = main_term(report, k)
+        predicted = mains[k]
         row = {
             "k": k,
             "bound": f"{spec.q}^({k}/{spec.d})",

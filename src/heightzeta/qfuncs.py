@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, lcm
 
 import numpy as np
@@ -39,7 +40,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -89,15 +90,18 @@ class QPoly:
         return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return QPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        # multiply the primitive integer parts, then scale by both contents
+        unit_a, a = _primitive(self.coeffs)
+        unit_b, b = _primitive(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return QPoly(out)
+        unit = unit_a * unit_b
+        return QPoly([unit * v for v in out])
 
     def scale(self, c) -> "QPoly":
         c = Fraction(c)
@@ -106,21 +110,28 @@ class QPoly:
     def __divmod__(self, other: "QPoly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        if len(a) - 1 < db:
+        db = other.degree
+        if self.degree < db:
             return QPoly(()), self
-        inv_lead = 1 / b[-1]
+        # divide the primitive integer parts; the running dividend is a / den,
+        # and den grows only by the factors of lead that a step needs
+        unit_a, a = _primitive(self.coeffs)
+        unit_b, b = _primitive(other.coeffs)
+        lead, den = b[-1], 1
         quot = [Fraction(0)] * (len(a) - db)
         for k in range(len(a) - 1, db - 1, -1):
             c = a[k]
             if c:
-                qc = c * inv_lead
-                quot[k - db] = qc
+                m = lead // gcd(c, lead)
+                if m != 1:
+                    a = [m * v for v in a[:k + 1]]
+                    den *= m
+                qc = a[k] // lead
+                quot[k - db] = Fraction(qc, den)
                 for i in range(db + 1):
                     a[k - db + i] -= qc * b[i]
-        return QPoly(quot), QPoly(a)
+        unit = unit_a / unit_b
+        return QPoly([unit * v for v in quot]), QPoly([unit_a * Fraction(v, den) for v in a[:db]])
 
     def __floordiv__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[0]
@@ -134,10 +145,11 @@ class QPoly:
         return self.scale(1 / self.coeffs[-1])
 
     def gcd(self, other: "QPoly") -> "QPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd over Q, computed over Z (see _gcd_cofactors)."""
+        if self.is_zero() or other.is_zero():
+            return (other if self.is_zero() else self).monic()
+        g, _, _ = _gcd_cofactors(_primitive(self.coeffs)[1], _primitive(other.coeffs)[1])
+        return QPoly(g).monic()
 
     def pow_(self, n: int) -> "QPoly":
         result = QPoly((1,))
@@ -190,15 +202,8 @@ class QPoly:
         """Write self = unit * g with g integer, content 1, positive leading coeff."""
         if self.is_zero():
             return Fraction(0), QPoly(())
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-        if ints[-1] < 0:
-            content = -content
-        g = QPoly([v // content for v in ints])
-        return Fraction(content, den), g
+        unit, ints = _primitive(self.coeffs)
+        return unit, QPoly(ints)
 
     def support_gcd(self) -> int:
         """gcd of the exponents carrying nonzero coefficients (0 for constants)."""
@@ -210,6 +215,92 @@ class QPoly:
 
     def __repr__(self):
         return f"QPoly({poly_str(self)})"
+
+
+def _primitive(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, list[int]]:
+    """(unit, g) with coeffs = unit * g, g integer, content 1, positive leading."""
+    # A list, not a generator: CPython resizes a tuple built from a generator
+    # and keeps up to 2000 freed tuples per size, so that form grows memory.
+    den = lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return Fraction(content, den), [v // content for v in ints]
+
+
+def _int_quotient(a: list[int], g: list[int]) -> list[int] | None:
+    """a / g in Z[x] if g divides a exactly, else None (ascending lists)."""
+    a = list(a)
+    dg, lead = len(g) - 1, g[-1]
+    quot = [0] * (len(a) - dg)
+    for k in range(len(a) - 1, dg - 1, -1):
+        if a[k]:
+            qc, r = divmod(a[k], lead)
+            if r:
+                return None
+            quot[k - dg] = qc
+            for i in range(dg + 1):
+                a[k - dg + i] -= qc * g[i]
+    return None if any(a[:dg]) else quot
+
+
+def _heuristic_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]] | None:
+    """(g, a/g, b/g) for primitive integer polynomials a and b, or None.
+
+    GCDHEU (Char, Geddes and Gonnet, JSC 1989): evaluate both at an integer
+    xi, take the integer gcd, read its balanced base-xi digits back as a
+    polynomial, and keep its primitive part g if it divides both inputs.
+    Because xi >= 2 * min(|a|_inf, |b|_inf) + 2, every root of a common
+    factor has modulus below xi/2, so an accepted g is the gcd and not a
+    proper divisor of it.  Gives up (None) after six evaluation points.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return [1], a, b
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        h = gcd(_eval_int(a, xi), _eval_int(b, xi))
+        digits = []
+        while h:
+            r = h % xi
+            if 2 * r > xi:
+                r -= xi
+            digits.append(r)
+            h = (h - r) // xi
+        content = gcd(*digits) if digits[-1] > 0 else -gcd(*digits)
+        g = [v // content for v in digits]
+        qa = _int_quotient(a, g)
+        qb = None if qa is None else _int_quotient(b, g)
+        if qb is not None:
+            return g, qa, qb
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _eval_int(a: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _euclid_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Monic gcd by the Euclidean algorithm on Fraction coefficients."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g), g = gcd(a, b) over Z for primitive integer polynomials.
+
+    GCDHEU on Python ints; should it give up, the Euclidean algorithm over Q.
+    """
+    found = _heuristic_gcd(a, b)
+    if found is not None:
+        return found
+    g = _primitive(_euclid_gcd(QPoly(a), QPoly(b)).coeffs)[1]
+    return g, _int_quotient(a, g), _int_quotient(b, g)
 
 
 def poly_str(p: QPoly, var: str = "w") -> str:
@@ -248,16 +339,12 @@ class QRatFunc:
             self.den = QPoly((1,))
             self.meaning = meaning
             return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading()
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
+        unit_n, a = _primitive(num.coeffs)
+        unit_d, b = _primitive(den.coeffs)
+        _, a, b = _gcd_cofactors(a, b)
+        scale = unit_n / (unit_d * b[-1])
+        self.num = QPoly([scale * c for c in a])
+        self.den = QPoly([Fraction(c, b[-1]) for c in b])
         self.meaning = meaning
 
     @classmethod
@@ -559,24 +646,33 @@ class NumberFieldElem:
         return result
 
     def trace(self) -> Fraction:
-        """Field trace to Q: trace of the multiplication-by-self matrix."""
-        p = self.min_poly
-        d = p.degree
-        total = Fraction(0)
-        power = self.rep % p
-        u = QPoly.var()
-        for i in range(d):
-            col = power if i == 0 else (self.rep * u.pow_(i)) % p
-            cs = col.coeffs
-            if i < len(cs):
-                total += cs[i]
-        return total
+        """Field trace to Q: sum of rep_i * Tr(u^i), with Tr(u^i) a power sum."""
+        sums = _power_sums(self.min_poly.coeffs)
+        return sum((c * s for c, s in zip(self.rep.coeffs, sums)), Fraction(0))
 
     def eval_at_root(self, root: complex) -> complex:
         return self.rep.eval_complex(root)
 
     def __repr__(self):
         return f"NumberFieldElem({poly_str(self.rep, 'u')} mod {poly_str(self.min_poly, 'u')})"
+
+
+@lru_cache(maxsize=256)
+def _power_sums(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Power sums s_0..s_(n-1) of the roots of sum_i coeffs[i] u^i (degree n).
+
+    s_i = Tr(u^i) in Q[u]/(p).  Newton's identities on the monic polynomial
+    u^n + c_(n-1) u^(n-1) + ... + c_0: s_k = -(k c_(n-k) + sum_(i<k) c_(n-i) s_(k-i)).
+    """
+    n = len(coeffs) - 1
+    c = [x / coeffs[-1] for x in coeffs]
+    sums = [Fraction(n)]
+    for k in range(1, n):
+        acc = k * c[n - k]
+        for i in range(1, k):
+            acc += c[n - i] * sums[k - i]
+        sums.append(-acc)
+    return tuple(sums)
 
 
 # -- pole records and Laurent data ---------------------------------------------
@@ -694,17 +790,12 @@ def laurent_at_pole(z: QRatFunc, rec: PoleRecord) -> list[NumberFieldElem]:
                     out[i + j] = out[i + j] + fmul(ai, bj)
         return out
 
-    # wtilde(tau) = u * sum_j (-tau)^j / j!
-    u = QPoly.var() % p
-    w_series = [u.scale(Fraction((-1) ** j, factorial(j))) for j in range(length)]
-
     def eval_poly(qp: QPoly) -> list[QPoly]:
-        # Horner in the series ring over F
-        acc = [QPoly(()) for _ in range(length)]
-        for c in reversed(qp.coeffs):
-            acc = series_mul(acc, w_series)
-            acc[0] = acc[0] + (QPoly.const(c) % p)
-        return acc
+        # qp(u * exp(-tau)) = sum_t tau^t * sum_j qp_j (-j)^t / t! * u^j
+        return [
+            QPoly([c * Fraction((-j) ** t, factorial(t)) for j, c in enumerate(qp.coeffs)]) % p
+            for t in range(length)
+        ]
 
     num_s = eval_poly(z.num)
     den_s = eval_poly(z.den)
@@ -832,11 +923,11 @@ def _principal_part(rec: PoleRecord) -> QRatFunc:
     return QRatFunc(numer, p_of_w.pow_(n_ord))
 
 
-def principal_part_remainder(z: QRatFunc, records: list[PoleRecord]) -> QRatFunc:
-    """z minus every record's principal parts; the result has no strip poles.
+def split_principal_parts(z: QRatFunc, records: list[PoleRecord]) -> tuple[QRatFunc, QRatFunc]:
+    """(sum of every record's principal parts, z minus that sum).
 
-    The returned remainder's denominator is coprime to each retained factor,
-    so its Taylor coefficients decay geometrically.
+    The remainder has no strip poles: its denominator is coprime to each
+    retained factor, so its Taylor coefficients decay geometrically.
     """
     total = QRatFunc.zero()
     for rec in records:
@@ -845,4 +936,9 @@ def principal_part_remainder(z: QRatFunc, records: list[PoleRecord]) -> QRatFunc
     for rec in records:
         if g.den.gcd(rec.factor).degree > 0:
             raise RuntimeError("principal part subtraction left a strip pole")
-    return g
+    return total, g
+
+
+def principal_part_remainder(z: QRatFunc, records: list[PoleRecord]) -> QRatFunc:
+    """z minus every record's principal parts; the result has no strip poles."""
+    return split_principal_parts(z, records)[1]

@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from heightzeta.gf import FqField, poly_from_string
 from heightzeta.oracle import count_canonical_heights, max_height_exponent_within_budget
 from heightzeta.places import BadPlace
 from heightzeta.zeta import ProblemSpec, from_poly
+
+# Property tests draw the same examples on every run, and no example fails
+# for taking long: host speed varies too much for a per-example deadline.
+settings.register_profile("heightzeta", derandomize=True, deadline=None)
+settings.load_profile("heightzeta")
 
 
 def matrix_entries():
@@ -64,3 +70,29 @@ def split_spec():
         bad_places=(BadPlace(f_v=1, vf=1), BadPlace(f_v=1, vf=1)),
         frobenius_trace=0,
     )
+
+
+def _anchor(q, genus, d, places, trace=None):
+    return ProblemSpec(
+        q=q,
+        genus=genus,
+        d=d,
+        bad_places=tuple(BadPlace(f_v=f_v, vf=vf) for f_v, vf in places),
+        frobenius_trace=trace,
+    )
+
+
+# The M/L/XL rows of the ROADMAP baseline table (the S row is inert_spec).
+@pytest.fixture(scope="session")
+def m_anchor_spec():
+    return _anchor(5, 0, 3, [(1, 1), (1, 2), (2, 1)])
+
+
+@pytest.fixture(scope="session")
+def l_anchor_spec():
+    return _anchor(7, 1, 5, [(1, 1), (2, 3), (3, 2), (1, 4)], trace=2)
+
+
+@pytest.fixture(scope="session")
+def xl_anchor_spec():
+    return _anchor(11, 0, 7, [(1, 1), (2, 3), (3, 2), (1, 4), (4, 6)])

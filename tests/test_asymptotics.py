@@ -8,6 +8,7 @@ from heightzeta.asymptotics import (
     build_report,
     lemma51_check,
     main_term,
+    main_terms,
     predicted_coefficient,
     remainder_check,
     stirling2,
@@ -228,3 +229,23 @@ def test_series_identity_principal_plus_remainder(toy_report):
     g = series_coefficients(toy_report.remainder, 25)
     for m in range(26):
         assert a[m] == predicted_coefficient(toy_report, m) + g[m]
+
+
+@pytest.mark.parametrize("fixture", ["inert_spec", "split_spec", "m_anchor_spec"])
+def test_series_main_terms_equal_trace_predictions(fixture, request):
+    # main terms come from one series; the per-m traces are the independent check
+    spec = request.getfixturevalue(fixture)
+    report = build_report(assemble_zeta(spec).combined, spec.q, spec.d)
+    e = report.alpha_exponent
+    p = [predicted_coefficient(report, m) for m in range(24 // e + 1)]
+    mains = main_terms(report, 24)
+    for k in range(25):
+        expected = sum(p[: k // e + 1], Fraction(0))
+        assert main_term(report, k) == mains[k] == expected
+
+
+def test_xl_anchor_report_and_remainder(xl_anchor_spec):
+    spec = xl_anchor_spec
+    report = build_report(assemble_zeta(spec).combined, spec.q, spec.d)
+    rc = remainder_check(report, 30)
+    assert rc.ok and rc.differences_match_remainder

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heightzeta.gf import FqField, PolyFq
 from heightzeta.qfuncs import (
@@ -10,6 +12,7 @@ from heightzeta.qfuncs import (
     PoleRecord,
     QPoly,
     QRatFunc,
+    _euclid_gcd,
     exponent_gcd_normalize,
     has_rational_factor_of_degree,
     laurent_at_pole,
@@ -257,3 +260,88 @@ def test_to_integer_pair_normalization():
     rebuilt = QRatFunc(QPoly(num), QPoly(den))
     assert rebuilt == z
     assert QRatFunc.zero().to_integer_pair() == ([0], [1])
+
+
+# -- property tests -------------------------------------------------------------
+
+fracs = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+nonzero_fracs = fracs.filter(bool)
+polys = st.lists(fracs, max_size=6).map(QPoly)
+
+
+def _polys_of_degree_at_least(n: int):
+    """Nonzero polynomials of degree n..5; the leading coefficient is seldom 1."""
+    lower = st.lists(fracs, min_size=n, max_size=5)
+    return st.builds(lambda cs, lead: QPoly(cs + [lead]), lower, nonzero_fracs)
+
+
+nonzero_polys = _polys_of_degree_at_least(0)
+min_polys = _polys_of_degree_at_least(1)
+ratfuncs = st.builds(QRatFunc, polys, nonzero_polys)
+
+
+def _reduces_to_zero(a: QPoly, b: QPoly) -> bool:
+    return (a % b).is_zero()
+
+
+@settings(max_examples=100)
+@given(a=polys, b=polys, c=nonzero_polys)
+def test_gcd_is_monic_common_divisor_equal_to_euclid(a, b, c):
+    x, y = a * c, b * c
+    g = x.gcd(y)
+    assert g == _euclid_gcd(x, y)
+    if x.is_zero() and y.is_zero():
+        assert g.is_zero()
+        return
+    assert g.leading() == 1
+    assert _reduces_to_zero(x, g) and _reduces_to_zero(y, g)
+    # the common factor c survives into the gcd
+    assert _reduces_to_zero(g, c.monic())
+
+
+def test_gcd_falls_back_to_euclid_when_the_heuristic_gives_up(monkeypatch):
+    import heightzeta.qfuncs as qfuncs
+
+    monkeypatch.setattr(qfuncs, "_heuristic_gcd", lambda a, b: None)
+    x = QPoly((1, 1)) * QPoly((Fraction(2, 3), 0, 5))
+    y = QPoly((1, 1)) * QPoly((7, 1))
+    assert x.gcd(y) == QPoly((1, 1))
+    assert QRatFunc(x, y) == R((Fraction(2, 3), 0, 5), (7, 1))
+
+
+def _is_canonical(r: QRatFunc) -> bool:
+    if r.num.is_zero():
+        return r.den == QPoly((1,))
+    return r.den.leading() == 1 and _euclid_gcd(r.num, r.den) == QPoly((1,))
+
+
+@settings(max_examples=60)
+@given(a=ratfuncs, b=ratfuncs, c=ratfuncs)
+def test_qratfunc_ring_laws_and_canonical_form(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    for r in (a, a + b, a * b, a - c, a * (b + c)):
+        assert _is_canonical(r)
+
+
+def _matrix_trace(x: NumberFieldElem) -> Fraction:
+    """Trace of multiplication by x on the basis 1, u, ..., u^(n-1) of Q[u]/(p)."""
+    p = x.min_poly
+    total = Fraction(0)
+    for i in range(p.degree):
+        column = (x.rep * QPoly.var().pow_(i)) % p
+        if i < len(column.coeffs):
+            total += column.coeffs[i]
+    return total
+
+
+@settings(max_examples=100)
+@given(p=min_polys, a=polys, b=polys, c=fracs)
+def test_trace_is_additive_and_equals_the_matrix_trace(p, a, b, c):
+    x, y = NumberFieldElem(p, a), NumberFieldElem(p, b)
+    assert x.trace() == _matrix_trace(x)
+    assert (x + y).trace() == x.trace() + y.trace()
+    assert NumberFieldElem.rational(p, c).trace() == p.degree * c

@@ -241,3 +241,7 @@ def test_bad_place_validation():
         ProblemSpec(q=5, genus=2, d=2, bad_places=())
     with pytest.raises(ValueError):
         ProblemSpec(q=5, genus=1, d=2, bad_places=())  # missing trace
+
+
+def test_decomposition_check_l_anchor(l_anchor_spec):
+    assert decomposition_check(l_anchor_spec).ok
