@@ -9,13 +9,15 @@ and the error is O(1) because the per-coefficient differences a_m - p_m are
 the Taylor coefficients of the remainder (zeta minus all strip principal
 parts), whose denominator has all roots outside the closed unit disk.  So
 p_m is the m-th Taylor coefficient of the summed principal parts, and every
-main term is a prefix sum of that one rational series.  The trace formula
-above (orbit_contribution) computes p_m independently, as the check inside
-remainder_check.  All predictions are exact rationals; the only floats are
-the certified decay base and the advisory pole locations.
+main term is a prefix sum of that one rational series.  The summed
+principal parts come from partial fractions over Q; the trace formula above
+(orbit_contribution) computes p_m independently from the Laurent data, as
+the check inside remainder_check.  All predictions are exact rationals; the
+only floats are the certified decay base and the advisory pole locations.
 
-Also here: the Stirling/Bernoulli toolkit whose identities drive the
-principal-part expansion, each verifiable to any desired series order.
+Also here: Stirling and Bernoulli numbers with the identities that link them
+(the Laurent expansion of 1/(1 - e^(-x))^k in lemma51_check), each verifiable
+to any desired series order.
 """
 
 from __future__ import annotations
@@ -34,12 +36,25 @@ from .qfuncs import (
     orbit_contribution,
     series_coefficients,
     split_principal_parts,
-    stirling2,
     unit_disk_poles,
     with_laurent,
 )
 
 _N_MAX = 64
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind, by the standard recurrence."""
+    if not (0 <= k <= n <= _N_MAX):
+        raise ValueError("stirling2 arguments out of range")
+    row = [1]
+    for nn in range(1, n + 1):
+        new = [0] * (nn + 1)
+        for kk in range(1, nn + 1):
+            above = row[kk] if kk < len(row) else 0
+            new[kk] = kk * above + row[kk - 1]
+        row = new
+    return row[k]
 
 
 def bernoulli(n: int) -> Fraction:

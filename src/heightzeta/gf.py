@@ -21,6 +21,9 @@ from __future__ import annotations
 import random
 
 _TABLE_LIMIT = 4096  # build full mul/inv tables for extension fields up to this q
+# Highest power of t a polynomial string may name.  The parsed coefficient
+# list is dense, and factoring a map's f slows steeply with its degree.
+MAX_TEXT_DEGREE = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -93,9 +96,6 @@ class FqField:
 
     def elements(self):
         return range(self.q)
-
-    def units(self):
-        return range(1, self.q)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -350,12 +350,6 @@ class PolyFq:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
-
-    def shift(self, k: int) -> "PolyFq":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return PolyFq(self.field, (0,) * k + self.coeffs)
 
     def pow_(self, n: int) -> "PolyFq":
         result = PolyFq(self.field, (1,))
@@ -682,9 +676,7 @@ class RatFuncFq:
     def pow_(self, n: int) -> "RatFuncFq":
         if n < 0:
             return self.inverse().pow_(-n)
-        # canonical parts stay coprime under powers, so skip the gcd
-        out = RatFuncFq(self.num.pow_(n), self.den.pow_(n))
-        return out
+        return RatFuncFq(self.num.pow_(n), self.den.pow_(n))
 
     def __repr__(self):
         return f"RatFuncFq({poly_to_string(self.num)!r}, {poly_to_string(self.den)!r})"
@@ -745,6 +737,8 @@ def poly_from_string(field: FqField, text: str) -> PolyFq:
             raise ValueError(f"malformed polynomial {text!r}")
         coeffs[power] = coeffs.get(power, 0) + sign * coeff
     size = max(coeffs) + 1 if coeffs else 0
+    if size > MAX_TEXT_DEGREE + 1:
+        raise ValueError(f"{text!r} names t^{size - 1}; the largest power allowed is t^{MAX_TEXT_DEGREE}")
     out = [0] * size
     for power, c in coeffs.items():
         out[power] = field.from_int(c)

@@ -3,7 +3,8 @@
 Everything a zeta closed form needs downstream lives here: dense rational
 polynomials, canonical rational functions, factorization over Q, quotient
 fields Q[u]/(p) for algebraic Laurent data, pole extraction on the closed
-unit disk, and exact per-coefficient "orbit" sums via traces.
+unit disk, strip principal parts by partial fractions, and exact
+per-coefficient "orbit" sums via traces.
 
 Conventions.  A pole record groups the full conjugate orbit of one
 irreducible denominator factor p(u): every root u0 of p yields one pole
@@ -13,7 +14,9 @@ where alpha = q^(e/d) and the branch is fixed by arg(u0) shifted into
 evaluating them at a specific root gives that pole's complex coefficient,
 and summing over the orbit is a field trace, so predictions stay rational.
 log(alpha) itself is never materialized: the stored c_n are the coefficients
-of (log alpha)^(-n) (s-a)^(-n), which keeps all data algebraic.
+of (log alpha)^(-n) (s-a)^(-n), which keeps all data algebraic.  The
+Laurent data feeds the pole display and the trace check; the principal parts
+themselves are read off the denominator factorization alone.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from math import factorial, gcd, lcm
 import numpy as np
 
 _EQUAL_MODULUS_TOL = 1e-9
-_STIRLING_MAX = 64
 
 
 class MixedModulusError(ValueError):
@@ -160,11 +162,6 @@ class QPoly:
             base = base * base
             n >>= 1
         return result
-
-    def shift(self, k: int) -> "QPoly":
-        if self.is_zero():
-            return self
-        return QPoly((Fraction(0),) * k + self.coeffs)
 
     def compose_power(self, k: int) -> "QPoly":
         """Substitute w -> w^k."""
@@ -323,21 +320,16 @@ def poly_str(p: QPoly, var: str = "w") -> str:
 
 
 class QRatFunc:
-    """Reduced rational function over Q: coprime parts, monic denominator.
+    """Reduced rational function over Q: coprime parts, monic denominator."""
 
-    The optional ``meaning`` tag records (q, d) for the reading w = q^(-s/d);
-    arithmetic requires compatible tags when both operands carry one.
-    """
+    __slots__ = ("num", "den")
 
-    __slots__ = ("num", "den", "meaning")
-
-    def __init__(self, num: QPoly, den: QPoly, meaning: tuple[int, int] | None = None):
+    def __init__(self, num: QPoly, den: QPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             self.num = QPoly(())
             self.den = QPoly((1,))
-            self.meaning = meaning
             return
         unit_n, a = _primitive(num.coeffs)
         unit_d, b = _primitive(den.coeffs)
@@ -345,30 +337,21 @@ class QRatFunc:
         scale = unit_n / (unit_d * b[-1])
         self.num = QPoly([scale * c for c in a])
         self.den = QPoly([Fraction(c, b[-1]) for c in b])
-        self.meaning = meaning
 
     @classmethod
-    def zero(cls, meaning=None) -> "QRatFunc":
-        return cls(QPoly(()), QPoly((1,)), meaning)
+    def zero(cls) -> "QRatFunc":
+        return cls(QPoly(()), QPoly((1,)))
 
     @classmethod
-    def const(cls, c, meaning=None) -> "QRatFunc":
-        return cls(QPoly.const(c), QPoly((1,)), meaning)
+    def const(cls, c) -> "QRatFunc":
+        return cls(QPoly.const(c), QPoly((1,)))
 
     @classmethod
-    def from_poly(cls, p: QPoly, meaning=None) -> "QRatFunc":
-        return cls(p, QPoly((1,)), meaning)
+    def from_poly(cls, p: QPoly) -> "QRatFunc":
+        return cls(p, QPoly((1,)))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def _join(self, other: "QRatFunc"):
-        a, b = self.meaning, other.meaning
-        if a is None:
-            return b
-        if b is None or a == b:
-            return a
-        raise ValueError(f"incompatible variable meanings {a} and {b}")
 
     def __eq__(self, other):
         return (
@@ -381,37 +364,34 @@ class QRatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other: "QRatFunc") -> "QRatFunc":
-        m = self._join(other)
-        return QRatFunc(self.num * other.den + other.num * self.den, self.den * other.den, m)
+        return QRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "QRatFunc":
-        return QRatFunc(-self.num, self.den, self.meaning)
+        return QRatFunc(-self.num, self.den)
 
     def __sub__(self, other: "QRatFunc") -> "QRatFunc":
         return self + (-other)
 
     def __mul__(self, other: "QRatFunc") -> "QRatFunc":
-        m = self._join(other)
-        return QRatFunc(self.num * other.num, self.den * other.den, m)
+        return QRatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "QRatFunc") -> "QRatFunc":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        m = self._join(other)
-        return QRatFunc(self.num * other.den, self.den * other.num, m)
+        return QRatFunc(self.num * other.den, self.den * other.num)
 
     def pow_(self, n: int) -> "QRatFunc":
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("division by the zero function")
-            return QRatFunc(self.den, self.num, self.meaning).pow_(-n)
-        return QRatFunc(self.num.pow_(n), self.den.pow_(n), self.meaning)
+            return QRatFunc(self.den, self.num).pow_(-n)
+        return QRatFunc(self.num.pow_(n), self.den.pow_(n))
 
     def scale(self, c) -> "QRatFunc":
-        return QRatFunc(self.num.scale(c), self.den, self.meaning)
+        return QRatFunc(self.num.scale(c), self.den)
 
     def compose_power(self, k: int) -> "QRatFunc":
-        return QRatFunc(self.num.compose_power(k), self.den.compose_power(k), self.meaning)
+        return QRatFunc(self.num.compose_power(k), self.den.compose_power(k))
 
     def eval(self, x) -> Fraction:
         d = self.den.eval(x)
@@ -578,10 +558,6 @@ class NumberFieldElem:
     def generator(cls, min_poly: QPoly) -> "NumberFieldElem":
         return cls(min_poly, QPoly.var())
 
-    @property
-    def field_degree(self) -> int:
-        return self.min_poly.degree
-
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
@@ -619,16 +595,7 @@ class NumberFieldElem:
     def inverse(self) -> "NumberFieldElem":
         if self.is_zero():
             raise ZeroDivisionError("zero divisor")
-        # extended Euclid in Q[u]
-        r0, r1 = self.min_poly, self.rep
-        s0, s1 = QPoly(()), QPoly((1,))
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise ValueError("min_poly is not irreducible (gcd has positive degree)")
-        return NumberFieldElem(self.min_poly, s0.scale(1 / r0.coeffs[0]))
+        return NumberFieldElem(self.min_poly, _inverse_mod(self.rep, self.min_poly))
 
     def __truediv__(self, other: "NumberFieldElem") -> "NumberFieldElem":
         return self * other.inverse()
@@ -655,6 +622,19 @@ class NumberFieldElem:
 
     def __repr__(self):
         return f"NumberFieldElem({poly_str(self.rep, 'u')} mod {poly_str(self.min_poly, 'u')})"
+
+
+def _inverse_mod(a: QPoly, m: QPoly) -> QPoly:
+    """The inverse of a modulo m in Q[u], by the extended Euclidean algorithm."""
+    r0, r1 = m, a
+    s0, s1 = QPoly(()), QPoly((1,))
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree != 0:
+        raise ValueError("not invertible: the gcd with the modulus has positive degree")
+    return s0.scale(1 / r0.coeffs[0])
 
 
 @lru_cache(maxsize=256)
@@ -841,97 +821,21 @@ def orbit_contribution(rec: PoleRecord, m: int) -> Fraction:
     return (u.pow_(-m) * acc).trace()
 
 
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, by the standard recurrence."""
-    if not (0 <= k <= n <= _STIRLING_MAX):
-        raise ValueError("stirling2 arguments out of range")
-    row = [1]
-    for nn in range(1, n + 1):
-        new = [0] * (nn + 1)
-        for kk in range(1, nn + 1):
-            above = row[kk] if kk < len(row) else 0
-            new[kk] = kk * above + row[kk - 1]
-        row = new
-    return row[k]
-
-
-def _principal_part(rec: PoleRecord) -> QRatFunc:
-    """The record's principal parts, summed over conjugate poles, in wtilde.
-
-    Uses 1/(1 - alpha^(a-s))^k = u^k/(u - wtilde)^k and the inverse
-    (u - w)^(-1) = -g(u, w)/p(w) mod p(u) with g the difference quotient
-    (p(u) - p(w))/(u - w); the conjugate sum is a coefficientwise trace.
-    """
-    p = rec.factor
-    deg = p.degree
-    n_ord = rec.order
-
-    # bivariate elements: lists over u-powers (length deg) of QPoly in w
-    def bimul(a: list[QPoly], b: list[QPoly]) -> list[QPoly]:
-        out = [QPoly(()) for _ in range(2 * deg - 1)]
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        # reduce u^deg and above: u^deg = -(1/p_deg) * sum_(j<deg) p_j u^j
-        inv_lead = 1 / p.leading()
-        for k in range(len(out) - 1, deg - 1, -1):
-            c = out[k]
-            if c.is_zero():
-                continue
-            out[k] = QPoly(())
-            for j in range(deg):
-                out[k - deg + j] = out[k - deg + j] - c.scale(p.coeffs[j] * inv_lead)
-        return out[:deg]
-
-    # g(u, w) = (p(u) - p(w))/(u - w); row i holds sum_(j>i) p_j w^(j-1-i)
-    g = [QPoly([p.coeffs[j] for j in range(i + 1, deg + 1)]) for i in range(deg)]
-    neg_g = [(-gi) for gi in g]
-    u_elem = [QPoly(()) for _ in range(deg)]
-    if deg == 1:
-        u_elem[0] = QPoly([-p.coeffs[0] / p.coeffs[1]])
-    else:
-        u_elem[1] = QPoly((1,))
-    p_of_w = QPoly(p.coeffs)
-
-    total = [QPoly(()) for _ in range(deg)]
-    for n in range(1, n_ord + 1):
-        c_n = rec.laurent[n - 1].rep
-        c_elem = [QPoly(()) for _ in range(deg)]
-        for i, coeff in enumerate(c_n.coeffs):
-            c_elem[i] = QPoly.const(coeff)
-        for k in range(1, n + 1):
-            beta = Fraction(
-                (-1) ** (n + k) * factorial(k - 1) * stirling2(n, k),
-                factorial(n - 1),
-            )
-            term = c_elem
-            for _ in range(k):
-                term = bimul(term, u_elem)
-            for _ in range(k):
-                term = bimul(term, neg_g)
-            pw_pow = p_of_w.pow_(n_ord - k)
-            term = [t * pw_pow for t in term]
-            total = [a + b.scale(beta) for a, b in zip(total, term)]
-
-    traces = [NumberFieldElem.generator(p).pow_(i).trace() for i in range(deg)]
-    numer = QPoly(())
-    for i, coeff_poly in enumerate(total):
-        numer = numer + coeff_poly.scale(traces[i])
-    return QRatFunc(numer, p_of_w.pow_(n_ord))
-
-
 def split_principal_parts(z: QRatFunc, records: list[PoleRecord]) -> tuple[QRatFunc, QRatFunc]:
     """(sum of every record's principal parts, z minus that sum).
 
-    The remainder has no strip poles: its denominator is coprime to each
-    retained factor, so its Taylor coefficients decay geometrically.
+    The principal parts of z at the roots of one record's factor p, summed
+    over the orbit, form the partial-fraction piece A/p^k of z (k the order):
+    with z = num/(p^k * rest), A = num * rest^(-1) mod p^k.  Only the factor
+    and the order are read, not the Laurent data.  The remainder has no
+    strip poles: its denominator is coprime to each retained factor, so its
+    Taylor coefficients decay geometrically.
     """
     total = QRatFunc.zero()
     for rec in records:
-        total = total + _principal_part(rec)
+        pk = rec.factor.pow_(rec.order)
+        rest = z.den // pk
+        total = total + QRatFunc((z.num * _inverse_mod(rest % pk, pk)) % pk, pk)
     g = z - total
     for rec in records:
         if g.den.gcd(rec.factor).degree > 0:
@@ -940,5 +844,8 @@ def split_principal_parts(z: QRatFunc, records: list[PoleRecord]) -> tuple[QRatF
 
 
 def principal_part_remainder(z: QRatFunc, records: list[PoleRecord]) -> QRatFunc:
-    """z minus every record's principal parts; the result has no strip poles."""
+    """z minus every record's principal parts; the result has no strip poles.
+
+    A named entry point kept so that bench/tracing.py can time this layer.
+    """
     return split_principal_parts(z, records)[1]

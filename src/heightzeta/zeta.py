@@ -61,10 +61,6 @@ class ProblemSpec:
             if bp.f_v < 1:
                 raise ValueError("residue degree must be >= 1")
 
-    @property
-    def meaning(self) -> tuple[int, int]:
-        return (self.q, self.d)
-
     def phi(self) -> PhiSpec:
         if self.f is None or self.field is None:
             raise ValueError("no concrete map attached to this spec")
@@ -125,7 +121,7 @@ def adelic_integral(spec: ProblemSpec) -> QRatFunc:
     z = _zeta_ratio_w(spec).scale(spec.q ** (1 - spec.genus))
     for bp in spec.bad_places:
         z = z * local_bad_factor(spec.q**bp.f_v, bp.vf, spec.d).compose_power(bp.f_v)
-    return QRatFunc(z.num, z.den, spec.meaning)
+    return z
 
 
 def _c_of_genus(spec: ProblemSpec) -> int:
@@ -148,7 +144,7 @@ def assemble_zeta(spec: ProblemSpec) -> ZetaClosedForm:
     main = adelic_integral(spec)
     c = _c_of_genus(spec)
     if c == 0:
-        correction = QRatFunc.zero(spec.meaning)
+        correction = QRatFunc.zero()
     else:
         correction = _inverse_zeta_w(spec).scale(c)
         for bp in spec.bad_places:
@@ -160,7 +156,6 @@ def assemble_zeta(spec: ProblemSpec) -> ZetaClosedForm:
             den[0] = 1
             den[d] = -1
             correction = correction * QRatFunc(QPoly(num), QPoly(den)).compose_power(bp.f_v)
-        correction = QRatFunc(correction.num, correction.den, spec.meaning)
     return ZetaClosedForm(
         main_term=main,
         correction_term=correction,
@@ -186,14 +181,13 @@ def partial_zeta_DU(spec: ProblemSpec, u_set) -> QRatFunc:
         integral = integral * QRatFunc(one_minus_qv1s, one_minus_qvs)
     c = _c_of_genus(spec)
     if c == 0:
-        return QRatFunc(integral.num, integral.den, spec.meaning)
+        return integral
     tail = _inverse_zeta_w(spec).scale(c)
     for i in u_set:
         bp = spec.bad_places[i]
         k = d * bp.f_v
         tail = tail / QRatFunc.from_poly(QPoly([1] + [0] * (k - 1) + [-1]))
-    total = integral + tail
-    return QRatFunc(total.num, total.den, spec.meaning)
+    return integral + tail
 
 
 def partial_zeta_DT(spec: ProblemSpec, t_set) -> QRatFunc:
@@ -203,7 +197,7 @@ def partial_zeta_DT(spec: ProblemSpec, t_set) -> QRatFunc:
     """
     t_set = tuple(sorted(set(t_set)))
     rest = [i for i in range(len(spec.bad_places)) if i not in t_set]
-    total = QRatFunc.zero(spec.meaning)
+    total = QRatFunc.zero()
     for r in range(len(rest) + 1):
         for extra in combinations(rest, r):
             term = partial_zeta_DU(spec, t_set + extra)
@@ -226,7 +220,7 @@ def decomposition_check(spec: ProblemSpec) -> DecompositionResult:
     ratio on the region D_T.
     """
     n = len(spec.bad_places)
-    total = QRatFunc.zero(spec.meaning)
+    total = QRatFunc.zero()
     for r in range(n + 1):
         for t_set in combinations(range(n), r):
             shift = sum(spec.bad_places[i].f_v * spec.bad_places[i].vf for i in t_set)

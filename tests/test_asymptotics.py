@@ -231,7 +231,7 @@ def test_series_identity_principal_plus_remainder(toy_report):
         assert a[m] == predicted_coefficient(toy_report, m) + g[m]
 
 
-@pytest.mark.parametrize("fixture", ["inert_spec", "split_spec", "m_anchor_spec"])
+@pytest.mark.parametrize("fixture", ["inert_spec", "split_spec", "m_anchor_spec", "l_anchor_spec"])
 def test_series_main_terms_equal_trace_predictions(fixture, request):
     # main terms come from one series; the per-m traces are the independent check
     spec = request.getfixturevalue(fixture)

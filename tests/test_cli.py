@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import heightzeta.cli as cli
 from heightzeta.cli import load_spec, main, spec_to_json
+from heightzeta.gf import MAX_TEXT_DEGREE
 from heightzeta.qfuncs import NumberFieldElem, QPoly, QRatFunc
 from heightzeta.zeta import DecompositionResult, assemble_zeta
 
@@ -167,6 +169,7 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert main(["zeta", "--spec", both]) == 2
     assert main(["zeta", "--spec", str(tmp_path / "missing.json")]) == 2
     assert main(["curve", "--q", "5", "--h", "t^3+t", "--f", "t", "--d", "2"]) == 2
+    assert main(["curve", "--q", "5", "--h", "t^3+3", "--f", "t^200+t+1", "--d", "2"]) == 2
     capsys.readouterr()
 
 
@@ -217,6 +220,27 @@ def test_wrongly_typed_spec_fields_exit_2(tmp_path, capsys, payload):
 
 
 F9_SPEC = {"q": 9, "genus": 0, "d": 2, "f": "t", "base_modulus": "t^2+1"}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**G0, "f": "t^200+t+1"},
+        {**G0, "f": "t^99999999"},
+        {**SPLIT_CURVE, "h": "t^200+1"},
+        {**F9_SPEC, "base_modulus": "t^200+1"},
+    ],
+)
+def test_spec_degree_above_limit_exits_2_at_once(tmp_path, capsys, payload):
+    start = time.perf_counter()
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 2
+    assert time.perf_counter() - start < 2
+    assert f"t^{MAX_TEXT_DEGREE}" in capsys.readouterr().err
+
+
+def test_spec_degree_at_limit_runs(tmp_path, capsys):
+    payload = {**G0, "f": f"t^{MAX_TEXT_DEGREE}+t+1"}
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 0
 
 
 def _field_paths(payload):

@@ -21,6 +21,7 @@ from heightzeta.qfuncs import (
     principal_part_remainder,
     qpoly_factor,
     series_coefficients,
+    split_principal_parts,
     unit_disk_poles,
     with_laurent,
 )
@@ -41,15 +42,6 @@ def test_arithmetic_examples():
     assert R((0, 1), (1, -5)) * QRatFunc.const(5) == R((0, 5), (1, -5))
     with pytest.raises(ZeroDivisionError):
         a / QRatFunc.zero()
-
-
-def test_meaning_tags_must_agree():
-    a = QRatFunc(QPoly((1,)), QPoly((1, -1)), meaning=(5, 2))
-    b = QRatFunc(QPoly((1,)), QPoly((1, 1)), meaning=(3, 2))
-    with pytest.raises(ValueError, match="incompatible"):
-        a + b
-    c = QRatFunc(QPoly((1,)), QPoly((1, 1)))
-    assert (a * c).meaning == (5, 2)
 
 
 def test_series_examples():
@@ -185,6 +177,16 @@ def test_principal_part_remainder_examples():
     z = R((1,), (1, -1))
     recs = [with_laurent(z, r) for r in unit_disk_poles(z, 5, 2, 1)]
     assert principal_part_remainder(z, recs).is_zero()
+
+
+def test_principal_parts_read_no_laurent_data():
+    # partial fractions use only each record's factor and order
+    z = R((1, 3), (1, Fraction(-9, 2), Fraction(-5, 2)))  # (1+3w)/((1-5w)(1+w/2))
+    recs = unit_disk_poles(z, 5, 2, 1)
+    assert len(recs) == 1 and recs[0].laurent == ()
+    principal, remainder = split_principal_parts(z, recs)
+    assert principal == R((Fraction(16, 11),), (1, -5))
+    assert principal + remainder == z
 
 
 def test_series_splits_into_principal_parts_plus_remainder():
