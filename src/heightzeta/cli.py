@@ -25,17 +25,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from .asymptotics import build_report, main_terms, remainder_check
-from .gf import FqField, poly_from_string, poly_to_string
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    count_canonical_heights,
-    max_height_exponent_within_budget,
-)
+from .gf import MAX_Q, FqField, poly_from_string, poly_to_string
+from .oracle import BudgetExceeded, count_canonical_heights, max_height_exponent_within_budget
 from .places import BadPlace, realize_phi
-from .qfuncs import MixedModulusError, QPoly, QRatFunc, poly_str, series_coefficients
+from .qfuncs import MixedModulusError, QRatFunc, poly_str, series_coefficients
 from .zeta import ProblemSpec, assemble_zeta, decomposition_check, from_poly
 
 EXIT_OK = 0
@@ -48,6 +44,8 @@ class InputError(ValueError):
 
 
 def _prime_power(q: int) -> tuple[int, int]:
+    if q > MAX_Q:
+        raise InputError(f"q = {q} exceeds the supported size 2^20")
     if q < 2:
         raise InputError(f"q = {q} is not a prime power")
     p = 2
@@ -268,30 +266,22 @@ def cmd_poles(args) -> int:
 
 
 def cmd_asymptote(args) -> int:
+    kmax = args.bound_exponent if args.bound_exponent is not None else args.all_up_to
+    if kmax < 0:
+        raise InputError("bound exponent must be >= 0")
+    ks = [kmax] if args.bound_exponent is not None else list(range(kmax + 1))
     spec = _read_spec(args.spec)
     report = _report_for(spec)
-    if args.bound_exponent is not None:
-        ks = [args.bound_exponent]
-    else:
-        if args.all_up_to < 0:
-            raise InputError("bound exponent must be >= 0")
-        ks = list(range(args.all_up_to + 1))
-    if any(k < 0 for k in ks):
-        raise InputError("bound exponent must be >= 0")
     phi = _phi_for_oracle(spec)
-    budget = DEFAULT_BUDGET
-    rows = []
-    oracle_counts = None
+    oracle_cumulative = None
     if phi is not None:
-        kmax = max(ks)
         try:
-            table = count_canonical_heights(
-                phi, kmax, budget=budget, override=args.budget_override
-            )
-            oracle_counts = table
+            table = count_canonical_heights(phi, kmax, override=args.budget_override)
+            oracle_cumulative = list(accumulate(table[m] for m in range(kmax + 1)))
         except BudgetExceeded:
-            oracle_counts = None
-    mains = main_terms(report, max(ks))
+            pass
+    mains = main_terms(report, kmax)
+    rows = []
     for k in ks:
         predicted = mains[k]
         row = {
@@ -299,10 +289,9 @@ def cmd_asymptote(args) -> int:
             "bound": f"{spec.q}^({k}/{spec.d})",
             "main_term": _frac(predicted),
         }
-        if oracle_counts is not None:
-            n_oracle = sum(v for m, v in oracle_counts.counts.items() if m <= k)
-            row["oracle"] = n_oracle
-            row["difference"] = _frac(n_oracle - predicted)
+        if oracle_cumulative is not None:
+            row["oracle"] = oracle_cumulative[k]
+            row["difference"] = _frac(oracle_cumulative[k] - predicted)
         rows.append(row)
     payload = {"alpha_exponent": report.alpha_exponent, "rows": rows}
     if args.format == "json":

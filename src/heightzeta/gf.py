@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 
 _TABLE_LIMIT = 4096  # build full mul/inv tables for extension fields up to this q
+MAX_Q = 2**20  # largest field size FqField accepts
 # Highest power of t a polynomial string may name.  The parsed coefficient
 # list is dense, and factoring a map's f slows steeply with its degree.
 MAX_TEXT_DEGREE = 64
@@ -49,12 +50,12 @@ class FqField:
     """
 
     def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**e > 2**20:
+        if p**e > MAX_Q:
             raise ValueError(f"q = {p}^{e} exceeds the supported size 2^20")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.e = e
         self.q = p**e

@@ -57,18 +57,18 @@ def enumeration_size(q: int, n: int) -> int:
     return q ** (2 * n + 1)
 
 
-def _check_budget(field: FqField, n: int, budget: int, override: bool):
+def _check_budget(field: FqField, n: int, override: bool):
     size = enumeration_size(field.q, n)
-    if size > budget and not override:
+    if size > DEFAULT_BUDGET and not override:
         raise BudgetExceeded(
             f"enumeration of ~{size} elements (q={field.q}, height exponent {n}) "
-            f"exceeds the budget {budget}; pass override to force"
+            f"exceeds the budget {DEFAULT_BUDGET}; pass override to force"
         )
 
 
-def max_height_exponent_within_budget(q: int, budget: int = DEFAULT_BUDGET) -> int:
+def max_height_exponent_within_budget(q: int) -> int:
     n = 0
-    while enumeration_size(q, n + 1) <= budget:
+    while enumeration_size(q, n + 1) <= DEFAULT_BUDGET:
         n += 1
     return n
 
@@ -94,13 +94,11 @@ def _coprime_numerators(field: FqField, den: PolyFq, n: int):
             yield num
 
 
-def enumerate_elements(
-    field: FqField, n: int, budget: int = DEFAULT_BUDGET, override: bool = False
-):
+def enumerate_elements(field: FqField, n: int, override: bool = False):
     """Stream all x with standard height exponent <= n, each exactly once."""
     if n < 0:
         raise ValueError("height exponent bound must be >= 0")
-    _check_budget(field, n, budget, override)
+    _check_budget(field, n, override)
     for den in _denominators(field, n):
         for num in _coprime_numerators(field, den, n):
             yield RatFuncFq(num, den)
@@ -141,7 +139,6 @@ def _degree_class_counts(field: FqField, den: PolyFq, n: int):
 def count_canonical_heights(
     phi: PhiSpec,
     m_max: int,
-    budget: int = DEFAULT_BUDGET,
     override: bool = False,
     method: str = "fast",
 ) -> CountTable:
@@ -153,7 +150,7 @@ def count_canonical_heights(
     field = phi.field
     d = phi.d
     n = m_max // d
-    _check_budget(field, n, budget, override)
+    _check_budget(field, n, override)
     _check_method(method)
     counts: dict[int, int] = {}
     for den in _denominators(field, n):
@@ -175,7 +172,6 @@ def count_region(
     phi: PhiSpec,
     t_set,
     h_max: int,
-    budget: int = DEFAULT_BUDGET,
     override: bool = False,
     method: str = "fast",
 ) -> CountTable:
@@ -186,7 +182,7 @@ def count_region(
     denominator.
     """
     field = phi.field
-    _check_budget(field, h_max, budget, override)
+    _check_budget(field, h_max, override)
     _check_method(method)
     bad = phi.bad_places
     want = frozenset(range(len(bad))) - frozenset(t_set)
@@ -206,15 +202,9 @@ def count_region(
     return CountTable(q=field.q, d=phi.d, counts=counts, max_m=h_max)
 
 
-def cumulative_count(
-    phi: PhiSpec,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    override: bool = False,
-    method: str = "fast",
-) -> int:
+def cumulative_count(phi: PhiSpec, k: int, override: bool = False, method: str = "fast") -> int:
     """N(B) for B = q^(k/d): number of x with canonical height at most B."""
     if k < 0:
         raise ValueError("bound exponent must be >= 0")
-    table = count_canonical_heights(phi, k, budget=budget, override=override, method=method)
+    table = count_canonical_heights(phi, k, override=override, method=method)
     return sum(v for m, v in table.counts.items() if m <= k)

@@ -448,18 +448,6 @@ def series_coefficients(z: QRatFunc, m_max: int) -> list[Fraction]:
 
 # -- factorization over Q -----------------------------------------------------
 
-_SYMPY_U = None
-
-
-def _sympy_u():
-    global _SYMPY_U
-    if _SYMPY_U is None:
-        import sympy
-
-        _SYMPY_U = sympy.Symbol("u")
-    return _SYMPY_U
-
-
 def qpoly_factor(p: QPoly):
     """Exact factorization over Q: (unit, [(irreducible, multiplicity), ...]).
 
@@ -473,8 +461,7 @@ def qpoly_factor(p: QPoly):
     unit, g = p.primitive_integer()
     if g.degree == 0:
         return unit, []
-    u = _sympy_u()
-    sp = sympy.Poly([int(c) for c in reversed(g.coeffs)], u, domain="ZZ")
+    sp = sympy.Poly([int(c) for c in reversed(g.coeffs)], sympy.Symbol("u"), domain="ZZ")
     content, factors = sp.factor_list()
     unit = unit * Fraction(int(content))
     out = []
@@ -748,54 +735,34 @@ def unit_disk_poles(z: QRatFunc, q: int, d: int, e: int) -> list[PoleRecord]:
 def laurent_at_pole(z: QRatFunc, rec: PoleRecord) -> list[NumberFieldElem]:
     """Exact Laurent coefficients c_1..c_N at the poles of one record.
 
-    Works in F = Q[u]/(factor): substitute wtilde = u*exp(-tau) and expand z
-    as a Laurent series in tau by exact series division; the coefficient of
-    tau^(-n) is c_n, valid simultaneously for every root of the factor.
+    Works in F = Q[u]/(factor): substitute wtilde = u*exp(-tau), so that the
+    denominator becomes tau^N times a unit series (N the record's order),
+    and divide the numerator's first N terms by that unit in one series
+    recurrence; the coefficient of tau^(-n) is c_n, valid simultaneously
+    for every root of the factor.
     """
-    p = rec.factor
-    n_ord = rec.order
-    length = 2 * n_ord
+    p, n_ord = rec.factor, rec.order
 
-    def fmul(a: QPoly, b: QPoly) -> QPoly:
-        return (a * b) % p
-
-    def series_mul(a: list[QPoly], b: list[QPoly]) -> list[QPoly]:
-        out = [QPoly(()) for _ in range(length)]
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j in range(length - i):
-                bj = b[j]
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + fmul(ai, bj)
-        return out
-
-    def eval_poly(qp: QPoly) -> list[QPoly]:
+    def expand(qp: QPoly, terms: int) -> list[QPoly]:
         # qp(u * exp(-tau)) = sum_t tau^t * sum_j qp_j (-j)^t / t! * u^j
         return [
             QPoly([c * Fraction((-j) ** t, factorial(t)) for j, c in enumerate(qp.coeffs)]) % p
-            for t in range(length)
+            for t in range(terms)
         ]
 
-    num_s = eval_poly(z.num)
-    den_s = eval_poly(z.den)
-    if any(not den_s[i].is_zero() for i in range(n_ord)):
+    den_s = expand(z.den, 2 * n_ord)
+    if any(not c.is_zero() for c in den_s[:n_ord]):
         raise RuntimeError("denominator series valuation below the factor multiplicity")
-    unit = den_s[n_ord:] + [QPoly(()) for _ in range(n_ord)]
-    lead = NumberFieldElem(p, unit[0])
-    if lead.is_zero():
+    unit = den_s[n_ord:]
+    if unit[0].is_zero():
         raise RuntimeError("denominator series valuation above the factor multiplicity")
-    inv0 = lead.inverse().rep
-    # invert the unit series: b_0 = 1/a_0, b_m = -1/a_0 * sum a_j b_(m-j)
-    inv_unit = [QPoly(()) for _ in range(length)]
-    inv_unit[0] = inv0
-    for m in range(1, length):
-        acc = QPoly(())
+    inv0 = _inverse_mod(unit[0], p)
+    # quotient b_m = (num_m - sum_(j=1..m) unit_j * b_(m-j)) / unit_0
+    quotient: list[QPoly] = []
+    for m, acc in enumerate(expand(z.num, n_ord)):
         for j in range(1, m + 1):
-            if not unit[j].is_zero():
-                acc = acc + fmul(unit[j], inv_unit[m - j])
-        inv_unit[m] = -fmul(inv0, acc)
-    quotient = series_mul(num_s, inv_unit)
+            acc = acc - unit[j] * quotient[m - j]
+        quotient.append((inv0 * acc) % p)
     return [NumberFieldElem(p, quotient[n_ord - n]) for n in range(1, n_ord + 1)]
 
 

@@ -7,11 +7,14 @@ the full zeta function
          + c(g)/zeta_K(s) * prod_v (u_v^(v(f)) - u_v^d)/(1 - u_v^d),
 
 with u_v = w^(f_v), x = q^(-s) = w^d, c(0) = 0 and c(1) = q - 1, over base
-fields of genus 0 or 1.  The partial height zetas over the regions cut out
+fields of genus 0 or 1.  The standard-height zetas of the regions cut out
 by the bad places (all v(x) >= 0 on U, or the exact sign pattern given by T)
-are also produced, and the disjoint-union identity tying them to Z is
-checked symbolically.  Using one variable for everything eliminates
-substitution mistakes: every object here multiplies and reduces in Q(w).
+are the same two global terms times one local factor per constrained place:
+with y = q_v^(-s), (1 - q_v*y)/(1 - y) and 1/(1 - y) where v(x) >= 0, and
+(q_v - 1)*y/(1 - y) and -y/(1 - y) where v(x) < 0.  The disjoint-union
+identity tying them to Z is checked symbolically.  Using one variable for
+everything eliminates substitution mistakes: every object here multiplies
+and reduces in Q(w).
 """
 
 from __future__ import annotations
@@ -163,46 +166,50 @@ def assemble_zeta(spec: ProblemSpec) -> ZetaClosedForm:
     )
 
 
+def _region_zeta(spec: ProblemSpec, inside, outside) -> QRatFunc:
+    """Standard-height zeta of {x : v(x) >= 0 on inside, v(x) < 0 on outside}.
+
+    inside and outside index into spec.bad_places.  The two global terms
+    q^(1-g) * zeta_K(s-1)/zeta_K(s) and c(g)/zeta_K(s) each take one local
+    factor per constrained place: with y = w^(d*f_v) = q_v^(-s), v(x) >= 0
+    gives (1 - q_v*y)/(1 - y) and 1/(1 - y), and v(x) < 0 gives their
+    complements (q_v - 1)*y/(1 - y) and -y/(1 - y).
+    """
+    q, d = spec.q, spec.d
+    inside = set(inside)
+    integral = _zeta_ratio_w(spec).scale(q ** (1 - spec.genus))
+    c = _c_of_genus(spec)
+    tail = _inverse_zeta_w(spec).scale(c) if c else QRatFunc.zero()
+    for i in inside | set(outside):
+        bp = spec.bad_places[i]
+        k, qv = d * bp.f_v, q**bp.f_v
+        one_minus_y = QPoly([1] + [0] * (k - 1) + [-1])
+        if i in inside:
+            main_num, tail_num = [1] + [0] * (k - 1) + [-qv], [1]
+        else:
+            main_num, tail_num = [0] * k + [qv - 1], [0] * k + [-1]
+        integral = integral * QRatFunc(QPoly(main_num), one_minus_y)
+        tail = tail * QRatFunc(QPoly(tail_num), one_minus_y)
+    return integral + tail if c else integral
+
+
 def partial_zeta_DU(spec: ProblemSpec, u_set) -> QRatFunc:
     """Standard-height zeta of D(U) = {x : v(x) >= 0 for all v in U}.
 
-    u_set indexes into spec.bad_places.  The value is the constrained adelic
-    integral plus c(g)/(zeta_K(s) * prod_(v in U) (1 - q_v^(-s))).
+    u_set indexes into spec.bad_places; each place in U contributes its
+    v(x) >= 0 local factor, and the places off U are unconstrained.
     """
-    u_set = tuple(sorted(set(u_set)))
-    q, d = spec.q, spec.d
-    integral = _zeta_ratio_w(spec).scale(q ** (1 - spec.genus))
-    for i in u_set:
-        bp = spec.bad_places[i]
-        qv = q**bp.f_v
-        k = d * bp.f_v
-        one_minus_qv1s = QPoly([1] + [0] * (k - 1) + [-qv])
-        one_minus_qvs = QPoly([1] + [0] * (k - 1) + [-1])
-        integral = integral * QRatFunc(one_minus_qv1s, one_minus_qvs)
-    c = _c_of_genus(spec)
-    if c == 0:
-        return integral
-    tail = _inverse_zeta_w(spec).scale(c)
-    for i in u_set:
-        bp = spec.bad_places[i]
-        k = d * bp.f_v
-        tail = tail / QRatFunc.from_poly(QPoly([1] + [0] * (k - 1) + [-1]))
-    return integral + tail
+    return _region_zeta(spec, u_set, ())
 
 
 def partial_zeta_DT(spec: ProblemSpec, t_set) -> QRatFunc:
     """Standard-height zeta of D_T (v(x) >= 0 exactly on T, < 0 off T within S).
 
-    Computed by inclusion-exclusion over partial_zeta_DU.
+    Each bad place contributes one local factor: the v(x) >= 0 factor on T
+    and its complement, the v(x) < 0 factor, off T.
     """
-    t_set = tuple(sorted(set(t_set)))
-    rest = [i for i in range(len(spec.bad_places)) if i not in t_set]
-    total = QRatFunc.zero()
-    for r in range(len(rest) + 1):
-        for extra in combinations(rest, r):
-            term = partial_zeta_DU(spec, t_set + extra)
-            total = total + (term if r % 2 == 0 else -term)
-    return total
+    t_set = set(t_set)
+    return _region_zeta(spec, t_set, set(range(len(spec.bad_places))) - t_set)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from heightzeta.asymptotics import (
 )
 from heightzeta.curves import affine_point_count, build_genus1_spec, frobenius_trace, splitting_type
 from heightzeta.gf import FqField, PolyFq, RatFuncFq, irreducibles_up_to, poly_from_string
-from heightzeta.oracle import max_height_exponent_within_budget
 from heightzeta.places import canonical_height_exp
 from heightzeta.qfuncs import QPoly, QRatFunc, series_coefficients
 from heightzeta.zeta import assemble_zeta, decomposition_check, dedekind_zeta

@@ -238,6 +238,16 @@ def test_spec_degree_above_limit_exits_2_at_once(tmp_path, capsys, payload):
     assert f"t^{MAX_TEXT_DEGREE}" in capsys.readouterr().err
 
 
+def test_huge_q_exits_2_at_once(tmp_path, capsys):
+    q = 1000000000000000003  # prime; trial division up to sqrt(q) would not finish
+    payload = {"q": q, "genus": 0, "d": 2, "bad_places": [{"f_v": 1, "vf": 1}]}
+    start = time.perf_counter()
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 2
+    assert main(["curve", "--q", str(q), "--h", "t^3+t", "--f", "t", "--d", "2"]) == 2
+    assert time.perf_counter() - start < 2
+    assert "2^20" in capsys.readouterr().err
+
+
 def test_spec_degree_at_limit_runs(tmp_path, capsys):
     payload = {**G0, "f": f"t^{MAX_TEXT_DEGREE}+t+1"}
     assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 0

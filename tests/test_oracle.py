@@ -1,5 +1,6 @@
 import pytest
 
+import heightzeta.oracle as oracle
 from heightzeta.gf import FqField, poly_from_string
 from heightzeta.oracle import (
     BudgetExceeded,
@@ -36,13 +37,16 @@ def test_enumeration_is_canonical_and_deterministic():
         assert max(x.num.degree, x.den.degree) <= 2
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 10**4)
     with pytest.raises(BudgetExceeded):
-        list(enumerate_elements(F5, 4, budget=10**4))
+        list(enumerate_elements(F5, 4))
     # override allows it
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 10**2)
     phi = validate_phi(F5.poly_t(), 2)
-    table = count_canonical_heights(phi, 4, budget=10**2, override=True)
+    table = count_canonical_heights(phi, 4, override=True)
     assert table[1] == 5
+    monkeypatch.undo()
     assert max_height_exponent_within_budget(5) == 5
     assert max_height_exponent_within_budget(2) == 12
 

@@ -5,7 +5,6 @@ import pytest
 
 from heightzeta.gf import FqField, PolyFq, RatFuncFq, poly_from_string, ratfunc_from_poly
 from heightzeta.places import (
-    BadPlace,
     Place,
     canonical_height_exp,
     local_correction_num,

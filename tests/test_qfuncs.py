@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heightzeta.gf import FqField, PolyFq
 from heightzeta.qfuncs import (
     MixedModulusError,
     NumberFieldElem,
@@ -131,6 +130,20 @@ def test_laurent_higher_order_pole():
     for m in range(9):
         assert orbit_contribution(recs[0], m) == series[m]
     assert principal_part_remainder(z, recs).is_zero()
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_laurent_of_power_pole_matches_exponential_series(k):
+    # 1/(1-w)^k at w = exp(-tau) is tau^(-k) * (tau/(1-exp(-tau)))^k
+    z = QRatFunc(QPoly((1,)), QPoly((1, -1)).pow_(k))
+    (rec,) = unit_disk_poles(z, 5, 2, 1)
+    assert rec.order == k
+    # (1-exp(-tau))/tau to k terms fixes the first k coefficients of its inverse
+    unit = QPoly([Fraction((-1) ** j, math.factorial(j + 1)) for j in range(k)])
+    expected = series_coefficients(QRatFunc(QPoly((1,)), unit.pow_(k)), k - 1)
+    laurent = laurent_at_pole(z, rec)
+    for n in range(1, k + 1):
+        assert laurent[n - 1] == NumberFieldElem.rational(rec.factor, expected[k - n])
 
 
 def test_double_pole_on_quadratic_factor():

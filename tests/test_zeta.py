@@ -1,4 +1,4 @@
-from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -145,7 +145,7 @@ def test_partial_zeta_DU_genus1_tail(inert_spec):
     assert got == integral + tail
 
 
-def test_partial_zeta_DT_examples():
+def test_partial_zeta_DT_examples(m_anchor_spec, l_anchor_spec, inert_spec, split_spec):
     spec = from_poly(F5, F5.poly_t(), 2)
     w_empty = partial_zeta_DT(spec, [])
     assert w_empty == R((0, 0, 20), (1, 0, -25))  # 20x/(1-25x)
@@ -154,6 +154,18 @@ def test_partial_zeta_DT_examples():
     # regions partition K: sum of W(D_T) is the full height zeta
     total = partial_zeta_DT(spec, []) + partial_zeta_DT(spec, [0])
     assert total == partial_zeta_DU(spec, [])
+    # reference: W(D_T) by inclusion-exclusion over the D(U) with U containing T
+    for anchor in (m_anchor_spec, l_anchor_spec, inert_spec, split_spec):
+        n = len(anchor.bad_places)
+        for r in range(n + 1):
+            for t_set in combinations(range(n), r):
+                rest = [i for i in range(n) if i not in t_set]
+                expected = QRatFunc.zero()
+                for size in range(len(rest) + 1):
+                    for extra in combinations(rest, size):
+                        term = partial_zeta_DU(anchor, t_set + extra)
+                        expected = expected + (-term if size % 2 else term)
+                assert partial_zeta_DT(anchor, t_set) == expected
 
 
 @pytest.mark.parametrize("entry_index", range(6))
@@ -176,7 +188,6 @@ def test_decomposition_check_fuzz():
     import random
 
     from heightzeta.gf import PolyFq
-    from heightzeta.places import validate_phi
 
     rng = random.Random(99)
     cases = 0
