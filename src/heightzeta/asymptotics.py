@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-
 from .qfuncs import (
     PoleRecord,
     QPoly,
@@ -143,6 +141,8 @@ def build_report(z: QRatFunc, q: int, d: int) -> AsymptoticReport:
     if remainder.den.degree == 0:
         decay = 0.0
     else:
+        import numpy as np
+
         roots = np.roots([float(c) for c in reversed(remainder.den.coeffs)])
         decay = float(1.0 / min(abs(r) for r in roots)) * (1 + 1e-9)
         if decay >= 1.0:
@@ -223,8 +223,11 @@ def remainder_check(report: AsymptoticReport, m_max: int) -> RemainderCheck:
     if r == 0.0:
         cutoff = report.remainder.num.degree
         envelope = float(max_abs)
-        if any(d != 0 for d in diffs[cutoff + 1 :]):
+        late = next((m for m in range(cutoff + 1, m_max + 1) if diffs[m] != 0), None)
+        if late is not None:
             ok = False
+            if first_failure is None:
+                first_failure = late
     else:
         rf = Fraction(r)
         half = m_max // 2

@@ -348,6 +348,7 @@ def cmd_verify(args) -> int:
             "differences_match_remainder": rc.differences_match_remainder,
             "decay_base": float(f"{rc.decay_base:.12g}"),
             "envelope_constant": float(f"{rc.envelope_constant:.12g}"),
+            "first_failure": rc.first_failure,
         }
     )
 
@@ -357,7 +358,11 @@ def cmd_verify(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         for c in checks:
-            print(f"  {'PASS' if c['pass'] else 'FAIL'}  {c['name']}")
+            line = f"  {'PASS' if c['pass'] else 'FAIL'}  {c['name']}"
+            where = c.get("first_mismatch", c.get("first_failure"))
+            if not c["pass"] and where is not None:
+                line += f"  (first failing m = {where})"
+            print(line)
         print("all checks passed" if ok else "verification FAILED")
     return EXIT_OK if ok else EXIT_IDENTITY
 

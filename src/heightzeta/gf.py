@@ -144,9 +144,6 @@ class FqField:
             return self._inv_table[a]
         return self.pow_(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow_(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow_(self.inv(a), -n)
@@ -326,6 +323,17 @@ class PolyFq:
         if len(a) - 1 < db:
             return PolyFq(F, ()), self
         quot = [0] * (len(a) - db)
+        if F.e == 1:
+            # plain ints, reduced mod p only where a coefficient is read
+            p = F.p
+            for k in range(len(a) - 1, db - 1, -1):
+                c = a[k] % p
+                if c:
+                    qc = c * inv_lead % p
+                    quot[k - db] = qc
+                    for i in range(db):
+                        a[k - db + i] -= qc * b[i]
+            return PolyFq(F, quot), PolyFq(F, [c % p for c in a[:db]])
         for k in range(len(a) - 1, db - 1, -1):
             c = a[k]
             if c:
@@ -496,25 +504,31 @@ def _squarefree_decomposition(f: PolyFq):
 
 def _factor_squarefree(f: PolyFq):
     """Irreducible factors of a monic squarefree f (distinct-degree + equal-degree)."""
+    return [h for g, k in _distinct_degree(f) for h in _equal_degree_split(g, k)]
+
+
+def _distinct_degree(f: PolyFq):
+    """Distinct-degree factorization of a monic squarefree f.
+
+    Yields (g, k) by increasing k, for each k at which f has irreducible
+    factors: g is the product of f's irreducible factors of degree k.
+    """
     F = f.field
-    q = F.q
     t = PolyFq(F, (0, 1))
-    out = []
     h = t
     k = 0
     rest = f
     while rest.degree > 0:
         k += 1
         if 2 * k > rest.degree:
-            out.append(rest)
-            break
-        h = h.powmod(q, rest)
+            yield rest, rest.degree
+            return
+        h = h.powmod(F.q, rest)
         g = rest.gcd(h - t)
         if g.degree > 0:
-            out.extend(_equal_degree_split(g, k))
+            yield g, k
             rest = rest // g
             h = h % rest
-    return out
 
 
 def _equal_degree_split(f: PolyFq, k: int):

@@ -155,15 +155,3 @@ def realize_phi(field: FqField, bad_data, d: int) -> PhiSpec:
         f = f * pi.pow_(vf)
     return validate_phi(f, d)
 
-
-def support_places(x: RatFuncFq) -> list[Place]:
-    """All places where x has nonzero valuation, plus infinity."""
-    if x.is_zero():
-        return []
-    places = []
-    for poly in (x.num, x.den):
-        if poly.degree >= 1:
-            _, factors = poly.factor()
-            places.extend(Place(pi) for pi, _ in factors)
-    places.append(Place(None))
-    return places

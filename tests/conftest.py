@@ -96,3 +96,9 @@ def l_anchor_spec():
 @pytest.fixture(scope="session")
 def xl_anchor_spec():
     return _anchor(11, 0, 7, [(1, 1), (2, 3), (3, 2), (1, 4), (4, 6)])
+
+
+@pytest.fixture(scope="session")
+def d32_spec():
+    """Genus-1 spec with d = 32: q=7, trace 2, 8 places (f_v, vf) = (1 + i%2, 1 + i%31)."""
+    return _anchor(7, 1, 32, [(1 + i % 2, 1 + i % 31) for i in range(8)], trace=2)

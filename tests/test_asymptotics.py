@@ -190,7 +190,7 @@ def test_laurent_values_match_numeric_residues():
                 continue
             for root in rec.numeric_roots:
                 approx = eps * z_at(root * cmath.exp(-eps))
-                exact = rec.laurent[0].eval_at_root(root)
+                exact = rec.laurent[0].rep.eval_complex(root)
                 assert abs(approx - exact) < 1e-4 * max(1.0, abs(exact))
 
 

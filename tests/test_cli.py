@@ -1,14 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heightzeta.cli as cli
+from heightzeta.asymptotics import RemainderCheck
 from heightzeta.cli import load_spec, main, spec_to_json
 from heightzeta.gf import MAX_TEXT_DEGREE
+from heightzeta.oracle import count_canonical_heights
 from heightzeta.qfuncs import NumberFieldElem, QPoly, QRatFunc
 from heightzeta.zeta import DecompositionResult, assemble_zeta
 
@@ -131,6 +138,64 @@ def test_verify_identity_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--spec", spec, "--max-coeff", "6", "--format", "json"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is False
+
+
+def test_verify_names_the_first_failing_coefficient(tmp_path, monkeypatch, capsys):
+    spec = _write(tmp_path, "s.json", G0)
+
+    def failing(report, m_max):
+        return RemainderCheck(
+            ok=False,
+            differences_match_remainder=False,
+            envelope_constant=1.0,
+            max_abs_difference=Fraction(1),
+            decay_base=0.5,
+            first_failure=17,
+        )
+
+    def miscounted(phi, m_max, override=False):
+        table = count_canonical_heights(phi, m_max, override=override)
+        return replace(table, counts={**table.counts, 4: table.counts.get(4, 0) + 1})
+
+    monkeypatch.setattr(cli, "remainder_check", failing)
+    assert main(["verify", "--spec", spec, "--max-coeff", "6", "--format", "json"]) == 3
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["remainder_decay"]["pass"] is False
+    assert checks["remainder_decay"]["first_failure"] == 17
+    assert checks["series_vs_oracle"]["first_mismatch"] is None
+
+    monkeypatch.setattr(cli, "count_canonical_heights", miscounted)
+    assert main(["verify", "--spec", spec, "--max-coeff", "6"]) == 3
+    out = capsys.readouterr().out
+    assert "  FAIL  series_vs_oracle  (first failing m = 4)\n" in out
+    assert "  PASS  decomposition\n" in out
+    assert "  FAIL  remainder_decay  (first failing m = 17)\n" in out
+    assert out.endswith("verification FAILED\n")
+
+
+M_ANCHOR = {
+    "q": 5,
+    "genus": 0,
+    "d": 3,
+    "bad_places": [{"f_v": 1, "vf": 1}, {"f_v": 1, "vf": 2}, {"f_v": 2, "vf": 1}],
+}
+
+
+def test_cli_start_up_loads_neither_sympy_nor_numpy(tmp_path):
+    code = (
+        "import sys\n"
+        "import heightzeta.cli as cli\n"
+        "loaded = [name in sys.modules for name in ('sympy', 'numpy')]\n"
+        "assert cli.main(['poles', '--spec', sys.argv[1], '--format', 'json']) == 0\n"
+        "print(loaded, 'sympy' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code, _write(tmp_path, "m.json", M_ANCHOR)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert run.stdout.splitlines()[-1] == "[False, False] False"
 
 
 def test_curve_command(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +12,10 @@ from heightzeta.qfuncs import (
     PoleRecord,
     QPoly,
     QRatFunc,
+    _cyclotomic,
     _euclid_gcd,
+    _totients_up_to,
     exponent_gcd_normalize,
-    has_rational_factor_of_degree,
     laurent_at_pole,
     orbit_contribution,
     poly_str,
@@ -52,6 +54,73 @@ def test_series_examples():
         series_coefficients(R((1,), (0, 1)), 2)
 
 
+def has_rational_factor_of_degree(p: QPoly, k: int) -> bool:
+    """Brute certificate helper: search for a degree-k divisor over Q.
+
+    k = 1 uses the rational root theorem; k = 2 enumerates integer candidate
+    divisors within a Mignotte-style coefficient bound.  Intended for the
+    small polynomials this package produces, as an independent check on
+    qpoly_factor's irreducibility claims.
+    """
+    _, g = p.primitive_integer()
+    n = g.degree
+    if k < 1 or k >= n:
+        return False
+    lead = int(g.leading())
+    const = int(g.coeffs[0])
+    if const == 0:
+        return k == 1 or has_rational_factor_of_degree(QPoly(g.coeffs[1:]), k)
+    if k == 1:
+        for r in _divisors(abs(const)):
+            for s in _divisors(abs(lead)):
+                for sign in (1, -1):
+                    if g.eval(Fraction(sign * r, s)) == 0:
+                        return True
+        return False
+    if k == 2:
+        bound = 4 * int(math.isqrt(sum(int(c) ** 2 for c in g.coeffs))) + 4
+        for a in _divisors(abs(lead)):
+            for c_abs in _divisors(abs(const)):
+                for c in (c_abs, -c_abs):
+                    for b in range(-bound, bound + 1):
+                        cand = QPoly((c, b, a))
+                        if (g % cand).is_zero():
+                            return True
+        return False
+    raise ValueError("brute factor search supports k <= 2 only")
+
+
+def _divisors(n: int):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def sympy_factor(p: QPoly):
+    """qpoly_factor's contract, computed by sympy's factor_list."""
+    unit, g = p.primitive_integer()
+    if g.degree == 0:
+        return unit, []
+    poly = sympy.Poly([int(c) for c in reversed(g.coeffs)], sympy.Symbol("u"), domain="ZZ")
+    content, factors = poly.factor_list()
+    unit *= int(content)
+    out = []
+    for fac, mult in factors:
+        qp = QPoly([int(c) for c in reversed(fac.all_coeffs())])
+        if qp.leading() < 0:
+            qp = -qp
+            unit *= (-1) ** mult
+        out.append((qp, mult))
+    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+    return unit, out
+
+
 def test_qpoly_factor_examples():
     unit, factors = qpoly_factor(QPoly((1, 0, -25)))
     assert unit == Fraction(-1)
@@ -81,6 +150,35 @@ def test_qpoly_factor_round_trip_with_multiplicity():
     for f, m in factors:
         check = check * f.pow_(m)
     assert check == p
+
+
+def test_cyclotomic_polynomials_and_totient_list():
+    u = sympy.Symbol("u")
+    for n in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, u), u).all_coeffs()
+        assert _cyclotomic(n) == tuple(int(c) for c in reversed(expected))
+    # phi(n) >= sqrt(n / 2), so every n with phi(n) <= 24 is below 2 * 24^2
+    brute = [(n, int(sympy.totient(n))) for n in range(1, 2 * 24**2)]
+    assert _totients_up_to(24) == [(n, phi) for n, phi in brute if phi <= 24]
+
+
+def test_qpoly_factor_recombines_factors_that_split_modulo_every_prime():
+    # u^4 - 10u^2 + 1 (minimal polynomial of sqrt(2) + sqrt(3)) is irreducible
+    # over Q but splits into factors of degree <= 2 modulo every prime
+    sd = QPoly((1, 0, -10, 0, 1))
+    p = sd * QPoly((-2, 0, 1)) * QPoly((3, 0, 0, 0, 0, 0, 2)).pow_(2) * QPoly((0, 0, 7))
+    assert qpoly_factor(p) == sympy_factor(p)
+    assert [(f.degree, m) for f, m in qpoly_factor(p)[1]] == [(1, 2), (2, 1), (4, 1), (6, 2)]
+
+
+@pytest.mark.parametrize(
+    "spec_name", ["inert_spec", "m_anchor_spec", "l_anchor_spec", "xl_anchor_spec", "d32_spec"]
+)
+def test_qpoly_factor_equals_sympy_on_anchor_denominators(spec_name, request):
+    from heightzeta.zeta import assemble_zeta
+
+    den = assemble_zeta(request.getfixturevalue(spec_name)).combined.den
+    assert qpoly_factor(den) == sympy_factor(den)
 
 
 def test_exponent_gcd_normalize():
@@ -293,6 +391,43 @@ def _polys_of_degree_at_least(n: int):
 nonzero_polys = _polys_of_degree_at_least(0)
 min_polys = _polys_of_degree_at_least(1)
 ratfuncs = st.builds(QRatFunc, polys, nonzero_polys)
+
+
+def _weil_trinomial(d: int, a: int, q: int) -> QPoly:
+    """1 - a w^d + q w^(2d)."""
+    return QPoly([1] + [0] * (d - 1) + [-a] + [0] * (d - 1) + [q])
+
+
+factor_atoms = st.one_of(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4).flatmap(
+        lambda cs: st.integers(1, 4).map(lambda lead: QPoly(cs + [lead]))
+    ),
+    st.integers(1, 40).map(lambda n: QPoly(_cyclotomic(n))),
+    st.builds(
+        lambda c, k: QPoly([-1] + [0] * (k - 1) + [c]),
+        st.sampled_from([-3, 2, 3, 5, 7, 25]),
+        st.integers(1, 12),
+    ),
+    st.builds(_weil_trinomial, st.integers(1, 8), st.integers(-6, 6), st.sampled_from([2, 3, 5, 7])),
+)
+
+
+@settings(max_examples=80)
+@given(
+    atoms=st.lists(st.tuples(factor_atoms, st.integers(1, 3)), min_size=1, max_size=4),
+    w_power=st.integers(0, 2),
+    scale=nonzero_fracs,
+)
+def test_qpoly_factor_equals_sympy_factor_list(atoms, w_power, scale):
+    p = QPoly((scale,)) * QPoly.var().pow_(w_power)
+    for atom, mult in atoms:
+        p = p * atom.pow_(mult)
+    unit, factors = qpoly_factor(p)
+    assert (unit, factors) == sympy_factor(p)
+    product = QPoly((unit,))
+    for f, mult in factors:
+        product = product * f.pow_(mult)
+    assert product == p
 
 
 def _reduces_to_zero(a: QPoly, b: QPoly) -> bool:
