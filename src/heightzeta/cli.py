@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .asymptotics import build_report, main_terms, remainder_check
-from .gf import MAX_Q, FqField, poly_from_string, poly_to_string
+from .gf import MAX_Q, FqField, _prime_divisors, poly_from_string, poly_to_string
 from .oracle import BudgetExceeded, count_canonical_heights, max_height_exponent_within_budget
 from .places import BadPlace, realize_phi
 from .qfuncs import MixedModulusError, QRatFunc, poly_str, series_coefficients
@@ -46,22 +46,13 @@ class InputError(ValueError):
 def _prime_power(q: int) -> tuple[int, int]:
     if q > MAX_Q:
         raise InputError(f"q = {q} exceeds the supported size 2^20")
-    if q < 2:
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
         raise InputError(f"q = {q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
+    p = primes[0]
+    e = 1
+    while p**e < q:
         e += 1
-    if m != 1:
-        raise InputError(f"q = {q} is not a prime power")
     return p, e
 
 

@@ -18,13 +18,27 @@ mod p, e.g. ``t^3+3``.  Printing uses descending powers with no zero terms.
 
 from __future__ import annotations
 
+import operator
 import random
+from itertools import product
 
 _TABLE_LIMIT = 4096  # build full mul/inv tables for extension fields up to this q
 MAX_Q = 2**20  # largest field size FqField accepts
 # Highest power of t a polynomial string may name.  The parsed coefficient
 # list is dense, and factoring a map's f slows steeply with its degree.
 MAX_TEXT_DEGREE = 64
+
+
+def _power(x, n: int, one, mul=operator.mul):
+    """x^n for n >= 0 by square-and-multiply, with ``one`` and ``mul`` as the monoid."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
 
 
 def _is_prime(n: int) -> bool:
@@ -147,14 +161,7 @@ class FqField:
     def pow_(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow_(self.inv(a), -n)
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return _power(a, n, 1, self.mul)
 
     def pth_root(self, a: int) -> int:
         """Inverse of the Frobenius x -> x^p (x -> x^(p^(e-1)))."""
@@ -361,24 +368,10 @@ class PolyFq:
         return a.monic() if not a.is_zero() else a
 
     def pow_(self, n: int) -> "PolyFq":
-        result = PolyFq(self.field, (1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, PolyFq(self.field, (1,)))
 
     def powmod(self, n: int, mod: "PolyFq") -> "PolyFq":
-        result = PolyFq(self.field, (1,)) % mod
-        base = self % mod
-        while n:
-            if n & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            n >>= 1
-        return result
+        return _power(self % mod, n, PolyFq(self.field, (1,)) % mod, lambda a, b: a * b % mod)
 
     def eval(self, x: int) -> int:
         F = self.field
@@ -411,28 +404,12 @@ class PolyFq:
     # -- irreducibility and factorization ------------------------------------
 
     def is_irreducible(self) -> bool:
-        n = self.degree
-        if n <= 0:
+        if self.degree <= 0:
             return False
-        if n == 1:
-            return True
-        F = self.field
-        q = F.q
         f = self.monic()
-        t = PolyFq(F, (0, 1))
-        # x^(q^n) = x mod f, and no earlier collapse at maximal proper divisors
-        h = t
-        powers = [t]
-        for _ in range(n):
-            h = h.powmod(q, f)
-            powers.append(h)
-        if h != t % f:
-            return False
-        for ell in _prime_divisors(n):
-            g = (powers[n // ell] - t) % f
-            if not f.gcd(g).is_one():
-                return False
-        return True
+        # The first distinct-degree gcd that is not 1 comes at the degree of
+        # f's smallest irreducible factor, squarefree or not.
+        return next(_distinct_degree(f))[1] == f.degree
 
     def factor(self):
         """Full factorization: returns (unit, [(monic irreducible, multiplicity), ...]).
@@ -476,14 +453,7 @@ def _squarefree_decomposition(f: PolyFq):
     result = []
     if f.is_one():
         return result
-    df = f.derivative()
-    if df.is_zero():
-        # f = g(t^p); take p-th roots of coefficients
-        root_coeffs = [F.pth_root(c) for c in f.coeffs[::p]]
-        for g, m in _squarefree_decomposition(PolyFq(F, root_coeffs)):
-            result.append((g, m * p))
-        return result
-    c = f.gcd(df)
+    c = f.gcd(f.derivative())
     w = f // c
     m = 1
     while not w.is_one():
@@ -495,7 +465,7 @@ def _squarefree_decomposition(f: PolyFq):
         c = c // y
         m += 1
     if not c.is_one():
-        # leftover is a p-th power
+        # leftover is a p-th power (all of f when f' = 0)
         root_coeffs = [F.pth_root(cc) for cc in c.coeffs[::p]]
         for g, mm in _squarefree_decomposition(PolyFq(F, root_coeffs)):
             result.append((g, mm * p))
@@ -511,7 +481,9 @@ def _distinct_degree(f: PolyFq):
     """Distinct-degree factorization of a monic squarefree f.
 
     Yields (g, k) by increasing k, for each k at which f has irreducible
-    factors: g is the product of f's irreducible factors of degree k.
+    factors: g is the product of f's irreducible factors of degree k.  For
+    any monic f, squarefree or not, the first k yielded is the smallest
+    degree of an irreducible factor of f.
     """
     F = f.field
     t = PolyFq(F, (0, 1))
@@ -562,33 +534,23 @@ def _equal_degree_split(f: PolyFq, k: int):
             )
 
 
+def _polys(field: FqField, free: int, top: tuple[int, ...]):
+    """Polynomials with ``free`` arbitrary low coefficients under the fixed ``top``.
+
+    Ordered by code: the constant coefficient varies fastest.
+    """
+    for digits in product(range(field.q), repeat=free):
+        yield PolyFq(field, digits[::-1] + top)
+
+
 def monic_polys(field: FqField, degree: int):
     """All monic polynomials of the given degree, lexicographic in ascending coeffs."""
-    if degree == 0:
-        yield PolyFq(field, (1,))
-        return
-    q = field.q
-    coeffs = [0] * degree + [1]
-    total = q**degree
-    for idx in range(total):
-        rem = idx
-        for i in range(degree):
-            coeffs[i] = rem % q
-            rem //= q
-        yield PolyFq(field, tuple(coeffs))
+    return _polys(field, degree, (1,))
 
 
 def all_polys(field: FqField, max_degree: int):
     """All polynomials of degree <= max_degree, including 0, lexicographic by code."""
-    q = field.q
-    total = q ** (max_degree + 1)
-    coeffs = [0] * (max_degree + 1)
-    for idx in range(total):
-        rem = idx
-        for i in range(max_degree + 1):
-            coeffs[i] = rem % q
-            rem //= q
-        yield PolyFq(field, tuple(coeffs))
+    return _polys(field, max_degree + 1, ())
 
 
 def irreducibles_up_to(field: FqField, n: int):

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
 
-from .gf import FqField, PolyFq, _distinct_degree, _equal_degree_split, _is_prime, _prime_divisors
+from .gf import FqField, PolyFq, _distinct_degree, _equal_degree_split, _is_prime, _power, _prime_divisors
 
 _EQUAL_MODULUS_TOL = 1e-9
 
@@ -155,14 +155,7 @@ class QPoly:
         return QPoly(g).monic()
 
     def pow_(self, n: int) -> "QPoly":
-        result = QPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QPoly((1,)))
 
     def compose_power(self, k: int) -> "QPoly":
         """Substitute w -> w^k."""
@@ -406,17 +399,8 @@ class QRatFunc:
             raise ValueError("denominator vanishes at 0")
         if self.is_zero():
             return [0], [1]
-        den_l = lcm(
-            lcm(*(c.denominator for c in self.num.coeffs)),
-            lcm(*(c.denominator for c in self.den.coeffs)),
-        )
-        nn = [int(c * den_l) for c in self.num.coeffs]
-        dd = [int(c * den_l) for c in self.den.coeffs]
-        content = 0
-        for v in nn + dd:
-            content = gcd(content, v)
-        nn = [v // content for v in nn]
-        dd = [v // content for v in dd]
+        ints = _primitive(self.num.coeffs + self.den.coeffs)[1]
+        nn, dd = ints[:len(self.num.coeffs)], ints[len(self.num.coeffs):]
         if dd[0] < 0:
             nn = [-v for v in nn]
             dd = [-v for v in dd]
@@ -822,14 +806,7 @@ class NumberFieldElem:
     def pow_(self, n: int) -> "NumberFieldElem":
         if n < 0:
             return self.inverse().pow_(-n)
-        result = NumberFieldElem(self.min_poly, QPoly((1,)))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, NumberFieldElem(self.min_poly, QPoly((1,))))
 
     def trace(self) -> Fraction:
         """Field trace to Q: sum of rep_i * Tr(u^i), with Tr(u^i) a power sum."""

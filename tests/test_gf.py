@@ -18,6 +18,7 @@ from heightzeta.gf import (
 
 F2 = FqField(2)
 F3 = FqField(3)
+F4 = FqField(2, 2, (1, 1, 1))
 F5 = FqField(5)
 F9 = FqField(3, 2, (1, 0, 1))
 
@@ -26,6 +27,9 @@ def test_prime_field_arithmetic():
     assert F5.mul(3, 4) == 2
     assert F5.inv(2) == 3
     assert F5.pow_(2, -1) == 3
+    assert F5.pow_(2, 0) == F5.pow_(0, 0) == 1
+    with pytest.raises(ZeroDivisionError, match="zero divisor"):
+        F5.pow_(0, -1)
     assert F5.sub(1, 4) == 2
     assert F5.mul(2, F5.inv(4)) == 3  # 2 * 4^-1 = 2*4 = 8 = 3
 
@@ -72,6 +76,7 @@ def test_field_axioms_random_triples(field):
         for _ in range(n):
             acc = field.mul(acc, a)
         assert field.pow_(a, n) == acc
+        assert field.pow_(a, 0) == 1
 
 
 def test_factor_examples():
@@ -110,6 +115,55 @@ def test_factor_round_trip_random(field):
         assert product == f
 
 
+@pytest.mark.parametrize("field", [F2, F4, F9], ids=lambda f: f"q{f.q}")
+def test_poly_pow_and_powmod_agree_with_repeated_multiplication(field):
+    rng = random.Random(field.q)
+    one = field.poly_one()
+    for _ in range(20):
+        f = PolyFq(field, [rng.randrange(field.q) for _ in range(rng.randrange(0, 4))])
+        mod = PolyFq(field, [rng.randrange(field.q) for _ in range(3)] + [1])
+        acc = one
+        for n in range(9):
+            assert f.pow_(n) == acc
+            assert f.powmod(n, mod) == acc % mod
+            acc = acc * f
+    assert field.poly_t().pow_(0) == one
+    # x^0 modulo a unit is the zero class, as for any other exponent
+    assert field.poly_t().powmod(0, one).is_zero()
+
+
+def _has_proper_factor(f):
+    """Trial division: some monic of degree 1..deg(f)//2 divides f."""
+    return any(
+        (f % g).is_zero()
+        for k in range(1, f.degree // 2 + 1)
+        for g in monic_polys(f.field, k)
+    )
+
+
+@pytest.mark.parametrize(
+    "field, max_degree", [(F2, 8), (F3, 6), (F4, 5), (F9, 4)], ids=lambda x: getattr(x, "q", x)
+)
+def test_is_irreducible_agrees_with_trial_division(field, max_degree):
+    rng = random.Random(field.q)
+
+    def random_monic(lo, hi):
+        degree = rng.randrange(lo, hi + 1)
+        return PolyFq(field, [rng.randrange(field.q) for _ in range(degree)] + [1])
+
+    cases = [field.poly((c,)) for c in range(field.q)]
+    cases += [f for d in range(1, 4) for f in monic_polys(field, d)]
+    for _ in range(60):
+        g = random_monic(1, max_degree // 2)
+        h = random_monic(1, max_degree // 2)
+        cases += [random_monic(4, max_degree), g * g, g * h, g * g * h]
+    for f in cases:
+        for c in (1, rng.randrange(1, field.q)):
+            scaled = f.scale(c)
+            expected = scaled.degree >= 1 and not _has_proper_factor(scaled)
+            assert scaled.is_irreducible() == expected, (scaled, c)
+
+
 def _moebius(n):
     out = 1
     d = 2
@@ -130,9 +184,9 @@ def _necklace_count(q, k):
     return sum(_moebius(k // d) * q**d for d in divisors) // k
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 4])
 def test_irreducible_counts_match_necklace_formula(q):
-    field = FqField(q)
+    field = F4 if q == 4 else FqField(q)
     irr = irreducibles_up_to(field, 6)
     by_degree = {}
     for p in irr:
@@ -236,3 +290,8 @@ def test_monic_enumeration_order_is_deterministic():
     second = [poly_to_string(p) for p in monic_polys(F3, 2)]
     assert first == second
     assert len(first) == 9 and len(set(first)) == 9
+    # by code: the constant coefficient varies fastest
+    assert first[:5] == ["t^2", "t^2+1", "t^2+2", "t^2+t", "t^2+t+1"]
+    assert first[-1] == "t^2+2t+2"
+    assert [poly_to_string(p) for p in all_polys(F2, 1)] == ["0", "1", "t", "t+1"]
+    assert [poly_to_string(p) for p in monic_polys(F2, 0)] == ["1"]

@@ -324,6 +324,10 @@ def test_number_field_arithmetic():
     inv = u.inverse()
     assert (u * inv).rep == QPoly((1,))
     assert u.pow_(-2).rep == QPoly((-5,))
+    assert u.pow_(0).rep == QPoly((1,))
+    assert u.pow_(3).rep == (u * u * u).rep
+    assert QPoly((2, 1)).pow_(0) == QPoly((1,))
+    assert QPoly((2, 1)).pow_(3) == QPoly((8, 12, 6, 1))
     assert u.trace() == 0
     assert NumberFieldElem.rational(p, Fraction(3, 7)).trace() == Fraction(6, 7)
     with pytest.raises(ZeroDivisionError):
