@@ -234,6 +234,34 @@ def _modulus_irreducible(p: int, mod: tuple[int, ...]) -> bool:
     return PolyFq(base, mod).is_irreducible()
 
 
+def _fp_divmod(a, b, p: int):
+    """Quotient and remainder of ``a`` by ``b`` over F_p, on int coefficient lists.
+
+    Both are ascending and reduced mod p; ``b`` is nonzero with no trailing
+    zeros.  Returns (quot, rem) as lists, ``rem`` without trailing zeros.
+    Coefficients are reduced mod p only where one is read.
+    """
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    a = list(a)
+    lead = b[-1]
+    inv_lead = 1 if lead == 1 else pow(lead, p - 2, p)
+    quot = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] % p
+        if c:
+            if inv_lead != 1:
+                c = c * inv_lead % p
+            quot[k - db] = c
+            for i in range(db):
+                a[k - db + i] -= c * b[i]
+    rem = [c % p for c in a[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
 class PolyFq:
     """Univariate polynomial over F_q: ascending coefficient tuple, no trailing zeros."""
 
@@ -326,21 +354,13 @@ class PolyFq:
         a = list(self.coeffs)
         b = other.coeffs
         db = len(b) - 1
-        inv_lead = F.inv(b[-1])
         if len(a) - 1 < db:
             return PolyFq(F, ()), self
-        quot = [0] * (len(a) - db)
         if F.e == 1:
-            # plain ints, reduced mod p only where a coefficient is read
-            p = F.p
-            for k in range(len(a) - 1, db - 1, -1):
-                c = a[k] % p
-                if c:
-                    qc = c * inv_lead % p
-                    quot[k - db] = qc
-                    for i in range(db):
-                        a[k - db + i] -= qc * b[i]
-            return PolyFq(F, quot), PolyFq(F, [c % p for c in a[:db]])
+            quot, rem = _fp_divmod(a, b, F.p)
+            return PolyFq(F, quot), PolyFq(F, rem)
+        quot = [0] * (len(a) - db)
+        inv_lead = F.inv(b[-1])
         for k in range(len(a) - 1, db - 1, -1):
             c = a[k]
             if c:
@@ -362,10 +382,16 @@ class PolyFq:
         return self.scale(self.field.inv(self.coeffs[-1]))
 
     def gcd(self, other: "PolyFq") -> "PolyFq":
+        F = self.field
+        if F.e == 1:
+            a, b = self.coeffs, other.coeffs
+            while b:
+                a, b = b, _fp_divmod(a, b, F.p)[1]
+            return PolyFq(F, a).monic()
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return a.monic()
 
     def pow_(self, n: int) -> "PolyFq":
         return _power(self, n, PolyFq(self.field, (1,)))
@@ -392,7 +418,18 @@ class PolyFq:
         """Multiplicity of the irreducible pi in self (0 for the zero polynomial caller to handle)."""
         if self.is_zero():
             raise ValueError("ord_at undefined for the zero polynomial")
+        if pi.degree < 1:
+            raise ValueError("ord_at needs pi of positive degree")
         k = 0
+        if self.field.e == 1:
+            p = self.field.p
+            f, b = self.coeffs, pi.coeffs
+            while True:
+                quot, rem = _fp_divmod(f, b, p)
+                if rem:
+                    return k
+                f = quot
+                k += 1
         f = self
         while True:
             q, r = divmod(f, pi)

@@ -15,18 +15,22 @@ in the tests:
   coprime numerators of degree < deg Q are exactly the unit residues mod Q,
   and each residue class contributes (q-1)q^(a-deg Q) numerators of exact
   degree a >= deg Q, so per-denominator tallies need only the unit count of
-  F_q[t]/Q and the divisibility of Q by the bad places.  No zeta identity
-  enters: this is still counting from first principles, place by place.
+  F_q[t]/Q and the divisibility of Q by the bad places.  Both come from one
+  multiplicative sieve per call over the monic irreducibles of degree <= n
+  (Euler's phi for F_q[t]), which finds the irreducibles itself; no
+  factorization, necklace formula or zeta identity enters.  This is still
+  counting from first principles, place by place.
 
 Both strategies walk the monic denominators once, serially, in the order
-above, and add each denominator's tally into one count dict; the strategy
-only decides how a single denominator is tallied.
+above, and add the tallies into one count dict; the strategy only decides
+how a denominator is tallied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import gf
 from .gf import FqField, PolyFq, RatFuncFq, all_polys, monic_polys
 from .places import PhiSpec, canonical_height_exp, standard_height_exp
 
@@ -104,33 +108,68 @@ def enumerate_elements(field: FqField, n: int, override: bool = False):
             yield RatFuncFq(num, den)
 
 
-def _unit_count(den: PolyFq) -> int:
-    """#(F_q[t]/den)^* via the factorization of den."""
-    q = den.field.q
-    if den.is_one():
-        return 1
-    _, factors = den.factor()
-    total = 1
-    for pi, mult in factors:
-        qpi = q**pi.degree
-        total *= qpi**mult - qpi ** (mult - 1)
-    return total
+def _sieve(field: FqField, n: int, bad_places):
+    """Yield (b, units, masks) per degree b <= n, walking each denominator once.
 
-
-def _degree_class_counts(field: FqField, den: PolyFq, n: int):
-    """Yield (h, count) for coprime numerators by standard height exponent.
-
-    h = max(deg num, deg den); counts cover all coprime numerators with
-    deg <= n, including x = 0 when den = 1.
+    ``units[c]`` is #(F_q[t]/Q)^* and ``masks[c]`` has bit i set when bad
+    place i divides Q, for the monic Q of degree b with code c: its low
+    coefficients in base q, constant fastest, which is the walk order.
+    Every entry starts at q^b.  A monic of degree e whose entry still reads
+    q^e when e is reached has no irreducible factor of smaller degree, so it
+    is an irreducible pi; each multiple pi*g of degree <= n then has its
+    entry scaled by (1 - q^-e), exactly, and its mask bit set if pi is bad.
+    By the time degree b is yielded its entries are final.
     """
     q = field.q
-    b = den.degree
+    bits = {bp.pi.coeffs: 1 << i for i, bp in enumerate(bad_places)}
+    units = [[q**b] * q**b for b in range(n + 1)]
+    masks = [[0] * q**b for b in range(n + 1)]
+    for b in range(n + 1):
+        qb = q**b
+        row_u, row_m = units[b], masks[b]
+        # The walk proper: each denominator of degree b is visited here once.
+        found = [(pi, bits.get(pi.coeffs, 0))
+                 for pi, u in zip(monic_polys(field, b), row_u) if u == qb and b]
+        for j in range(n - b + 1 if found else 0):
+            row_uj, row_mj = units[b + j], masks[b + j]
+            # the multipliers g come from gf directly, not from the walk
+            for g in gf.monic_polys(field, j):
+                for pi, bit in found:
+                    cs = (pi * g).coeffs
+                    code = 0
+                    for c in cs[-2::-1]:
+                        code = code * q + c
+                    row_uj[code] = row_uj[code] // qb * (qb - 1)
+                    if bit:
+                        row_mj[code] |= bit
+        units[b] = masks[b] = None
+        yield b, row_u, row_m
+
+
+def _unit_sums(field: FqField, n: int, bad_places):
+    """Per degree b <= n: {mask: sum of #(F_q[t]/Q)^* over the monic Q of degree b}.
+
+    The keys appear in the order in which the walk first meets them.
+    """
+    for b, units, masks in _sieve(field, n, bad_places):
+        sums: dict[int, int] = {}
+        for u, mask in zip(units, masks):
+            sums[mask] = sums.get(mask, 0) + u
+        yield b, sums
+
+
+def _degree_class_counts(q: int, b: int, units: int, n: int):
+    """Yield (h, count) for coprime numerators by standard height exponent.
+
+    The denominators have degree b and ``units`` unit residues in total;
+    h = max(deg num, deg den); counts cover all coprime numerators with
+    deg <= n, including x = 0 when the denominator is 1.
+    """
     if b == 0:
         yield 0, 1  # x = 0
         for a in range(0, n + 1):
             yield a, (q - 1) * q**a
         return
-    units = _unit_count(den)
     yield b, units  # all residues: deg num < b
     for a in range(b, n + 1):
         yield a, units * (q - 1) * q ** (a - b)
@@ -150,21 +189,25 @@ def count_canonical_heights(
     field = phi.field
     d = phi.d
     n = m_max // d
-    _check_budget(field, n, override)
     _check_method(method)
+    _check_budget(field, n, override)
     counts: dict[int, int] = {}
-    for den in _denominators(field, n):
-        if method == "fast":
-            corr = sum(bp.f_v * bp.vf for bp in phi.bad_places if not (den % bp.pi).is_zero())
-            tally = ((d * h + corr, c) for h, c in _degree_class_counts(field, den, n))
-        else:
-            tally = (
-                (canonical_height_exp(RatFuncFq(num, den), phi), 1)
-                for num in _coprime_numerators(field, den, n)
-            )
-        for m, c in tally:
-            if m <= m_max:
-                counts[m] = counts.get(m, 0) + c
+
+    def add(m: int, c: int):
+        if m <= m_max:
+            counts[m] = counts.get(m, 0) + c
+
+    if method == "fast":
+        weights = [bp.f_v * bp.vf for bp in phi.bad_places]
+        for b, sums in _unit_sums(field, n, phi.bad_places):
+            for mask, units in sums.items():
+                corr = sum(w for i, w in enumerate(weights) if not mask >> i & 1)
+                for h, c in _degree_class_counts(field.q, b, units, n):
+                    add(d * h + corr, c)
+    else:
+        for den in _denominators(field, n):
+            for num in _coprime_numerators(field, den, n):
+                add(canonical_height_exp(RatFuncFq(num, den), phi), 1)
     return CountTable(q=field.q, d=d, counts=counts, max_m=m_max)
 
 
@@ -182,23 +225,29 @@ def count_region(
     denominator.
     """
     field = phi.field
-    _check_budget(field, h_max, override)
     _check_method(method)
+    _check_budget(field, h_max, override)
     bad = phi.bad_places
-    want = frozenset(range(len(bad))) - frozenset(t_set)
+    t_set = frozenset(t_set)
+    stray = t_set - frozenset(range(len(bad)))
+    if stray:
+        raise ValueError(f"bad-place indices {sorted(stray, key=repr)} are not in range({len(bad)})")
+    want = sum(1 << i for i in range(len(bad)) if i not in t_set)
     counts: dict[int, int] = {}
-    for den in _denominators(field, h_max):
-        if frozenset(i for i, bp in enumerate(bad) if (den % bp.pi).is_zero()) != want:
-            continue
-        if method == "fast":
-            tally = _degree_class_counts(field, den, h_max)
-        else:
-            tally = (
-                (standard_height_exp(RatFuncFq(num, den)), 1)
-                for num in _coprime_numerators(field, den, h_max)
-            )
-        for h, c in tally:
-            counts[h] = counts.get(h, 0) + c
+
+    def add(h: int, c: int):
+        counts[h] = counts.get(h, 0) + c
+
+    if method == "fast":
+        for b, sums in _unit_sums(field, h_max, bad):
+            if want in sums:
+                for h, c in _degree_class_counts(field.q, b, sums[want], h_max):
+                    add(h, c)
+    else:
+        for den in _denominators(field, h_max):
+            if sum(1 << i for i, bp in enumerate(bad) if (den % bp.pi).is_zero()) == want:
+                for num in _coprime_numerators(field, den, h_max):
+                    add(standard_height_exp(RatFuncFq(num, den)), 1)
     return CountTable(q=field.q, d=phi.d, counts=counts, max_m=h_max)
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heightzeta.gf import (
     FqField,
@@ -295,3 +297,98 @@ def test_monic_enumeration_order_is_deterministic():
     assert first[-1] == "t^2+2t+2"
     assert [poly_to_string(p) for p in all_polys(F2, 1)] == ["0", "1", "t", "t+1"]
     assert [poly_to_string(p) for p in monic_polys(F2, 0)] == ["1"]
+
+
+# -- prime-field division kernels (gcd, ord_at, divmod) ----------------------
+#
+# The references below know divisibility only through multiplication: g
+# divides a exactly when a is one of the products g*h.  No division runs in
+# them, so the kernels are not their own reference.
+
+
+def _monic_divisors(field, max_degree):
+    """Each nonzero polynomial of degree <= max_degree -> the set of its monic divisors."""
+    divisors = {}
+    for k in range(max_degree + 1):
+        for g in monic_polys(field, k):
+            for h in all_polys(field, max_degree - k):
+                if not h.is_zero():
+                    divisors.setdefault((g * h).coeffs, set()).add(g.coeffs)
+    return divisors
+
+
+def _reference_gcd(a, b, divisors):
+    """The monic common divisor of largest degree (0 when a = b = 0)."""
+    if a.is_zero() and b.is_zero():
+        return ()
+    if a.is_zero() or b.is_zero():
+        common = divisors[(a if b.is_zero() else b).coeffs]
+    else:
+        common = divisors[a.coeffs] & divisors[b.coeffs]
+    return max(common, key=len)
+
+
+def _reference_ord(f, pi, divisors):
+    """Largest k with pi^k dividing f, by trial of the powers of monic(pi)."""
+    m = pi.scale(pow(pi.leading(), -1, pi.field.p))
+    k, power = 0, m
+    while power.coeffs in divisors[f.coeffs]:
+        k, power = k + 1, power * m
+    return k
+
+
+KERNEL_FIELDS = [(F2, 6), (F3, 4), (F5, 3)]
+
+
+@pytest.mark.parametrize("field, max_degree", KERNEL_FIELDS, ids=lambda x: getattr(x, "q", x))
+def test_prime_field_gcd_is_the_largest_monic_common_divisor(field, max_degree):
+    rng = random.Random(field.q)
+    divisors = _monic_divisors(field, max_degree)
+    polys = list(all_polys(field, max_degree))
+    small = [p for p in polys if p.degree <= 0]  # zero and the constants
+    pairs = [(a, b) for a in small for b in polys] + [(b, a) for a in small for b in polys]
+    pairs += [(rng.choice(polys), rng.choice(polys)) for _ in range(3000)]
+    for a, b in pairs:
+        g = a.gcd(b)
+        assert g.coeffs == _reference_gcd(a, b, divisors), (a, b)
+        assert g.is_zero() or g.is_monic()
+
+
+@pytest.mark.parametrize("field, max_degree", KERNEL_FIELDS, ids=lambda x: getattr(x, "q", x))
+def test_prime_field_ord_at_agrees_with_trial_division(field, max_degree):
+    rng = random.Random(field.q)
+    divisors = _monic_divisors(field, max_degree)
+    nonzero = [p for p in all_polys(field, max_degree) if not p.is_zero()]
+    # every pi of degree 1 or 2: monic or not, irreducible or not
+    pis = [p for p in all_polys(field, 2) if p.degree >= 1]
+    fs = nonzero if len(nonzero) * len(pis) <= 10_000 else rng.sample(nonzero, 10_000 // len(pis))
+    for f in fs:
+        for pi in pis:
+            assert f.ord_at(pi) == _reference_ord(f, pi, divisors), (f, pi)
+    with pytest.raises(ValueError):
+        nonzero[0].ord_at(field.poly((1,)))
+    with pytest.raises(ValueError):
+        field.poly(()).ord_at(field.poly_t())
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    a=st.lists(st.integers(0, 4), max_size=12),
+    b=st.lists(st.integers(0, 4), max_size=7),
+    c=st.lists(st.integers(0, 4), max_size=5),
+    k=st.integers(0, 3),
+)
+def test_prime_field_division_kernels_properties(p, a, b, c, k):
+    field = FqField(p)
+    a, b, c = (PolyFq(field, [x % p for x in xs]) for xs in (a, b, c))
+    if not b.is_zero():
+        quot, rem = divmod(a, b)
+        assert quot * b + rem == a
+        assert rem.degree < b.degree
+    # gcd(a c, b c) = gcd(a, b) * monic(c), for c != 0
+    if not c.is_zero():
+        assert (a * c).gcd(b * c) == a.gcd(b) * c.monic()
+    # ord_at counts every factor pi^k that is multiplied in
+    pi = PolyFq(field, (1, 1))  # t + 1, irreducible over every F_p
+    if not a.is_zero():
+        assert (a * pi.pow_(k)).ord_at(pi) == a.ord_at(pi) + k

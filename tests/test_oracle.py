@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 import heightzeta.oracle as oracle
-from heightzeta.gf import FqField, poly_from_string
+from heightzeta.gf import FqField, PolyFq, monic_polys, poly_from_string
 from heightzeta.oracle import (
     BudgetExceeded,
     count_canonical_heights,
@@ -11,11 +13,13 @@ from heightzeta.oracle import (
     enumeration_size,
     max_height_exponent_within_budget,
 )
-from heightzeta.places import validate_phi
+from heightzeta.places import BadPlace, validate_phi
 
 F2 = FqField(2)
 F3 = FqField(3)
+F4 = FqField(2, 2, (1, 1, 1))
 F5 = FqField(5)
+F9 = FqField(3, 2, (1, 0, 1))
 
 
 def test_enumeration_counts():
@@ -156,3 +160,79 @@ def test_cumulative_count_examples():
     assert cumulative_count(phi, 0) == 0
     phi0 = validate_phi(F5.poly_one(), 2)
     assert cumulative_count(phi0, 2) == 125
+
+
+def test_count_region_rejects_unknown_bad_indices():
+    phi = validate_phi(poly_from_string(F5, "t^2+t"), 2)
+    assert len(phi.bad_places) == 2
+    for t_set in ({7}, {2}, {-1}, {0, 5}):
+        for method in ("fast", "enumerate"):
+            with pytest.raises(ValueError, match="not in range"):
+                count_region(phi, t_set, 2, method=method)
+
+
+def test_unknown_method_is_reported_before_the_budget():
+    phi = validate_phi(F5.poly_t(), 2)
+    # both bounds are far past the budget: the method is checked first
+    with pytest.raises(ValueError, match="unknown counting method"):
+        count_canonical_heights(phi, 40, method="bogus")
+    with pytest.raises(ValueError, match="unknown counting method"):
+        count_region(phi, set(), 20, method="bogus")
+    with pytest.raises(BudgetExceeded):
+        count_canonical_heights(phi, 40)
+
+
+def _reference_unit_count(den):
+    """#(F_q[t]/den)^* from the factorization: prod of |pi|^k - |pi|^(k-1)."""
+    q = den.field.q
+    total = 1
+    for pi, k in den.factor()[1]:
+        total *= q ** (pi.degree * k) - q ** (pi.degree * (k - 1))
+    return total
+
+
+def _bad_places(field):
+    """Two degree-1 places and the first degree-2 place, as bad places."""
+    quad = next(p for p in monic_polys(field, 2) if p.is_irreducible())
+    pis = list(monic_polys(field, 1))[:2] + [quad]
+    return tuple(BadPlace(f_v=pi.degree, vf=1, pi=pi) for pi in pis)
+
+
+@pytest.mark.parametrize(
+    "field, n", [(F2, 8), (F3, 5), (F5, 4), (F4, 3), (F9, 3)], ids=lambda x: getattr(x, "q", x)
+)
+def test_sieve_matches_factorization(field, n):
+    bad = _bad_places(field)
+    degrees = []
+    for b, units, masks in oracle._sieve(field, n, bad):
+        dens = list(monic_polys(field, b))
+        assert len(dens) == len(units) == len(masks) == field.q**b
+        for den, u, mask in zip(dens, units, masks):
+            assert u == _reference_unit_count(den), den
+            expected = sum(1 << i for i, bp in enumerate(bad) if (den % bp.pi).is_zero())
+            assert mask == expected, den
+        degrees.append(b)
+    assert degrees == list(range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "field, lin, quad, d, n",
+    [(F4, (2, 1), (2, 1, 1), 3, 3), (F9, (4, 1), (3, 1, 1), 3, 2)],
+    ids=["F4", "F9"],
+)
+def test_fast_and_enumerate_agree_over_extension_fields(field, lin, quad, d, n):
+    # f = pi1^2 * pi2: a repeated degree-1 factor and a degree-2 bad place
+    pi1, pi2 = PolyFq(field, lin), PolyFq(field, quad)
+    assert pi1.is_irreducible() and pi2.is_irreducible()
+    phi = validate_phi(pi1 * pi1 * pi2, d)
+    assert sorted((bp.f_v, bp.vf) for bp in phi.bad_places) == [(1, 2), (2, 1)]
+    m_max = phi.d * n
+    fast = count_canonical_heights(phi, m_max, method="fast")
+    slow = count_canonical_heights(phi, m_max, method="enumerate")
+    assert fast.counts == slow.counts
+    k = len(phi.bad_places)
+    for r in range(k + 1):
+        for t_set in combinations(range(k), r):
+            fast = count_region(phi, t_set, n, method="fast")
+            slow = count_region(phi, t_set, n, method="enumerate")
+            assert fast.counts == slow.counts, t_set

@@ -230,6 +230,18 @@ def test_genus0_series_equals_oracle_counts_sample():
             assert series[m] == table[m]
 
 
+@pytest.mark.parametrize("field, n", [(F5, 6), (F2, 13)], ids=["q5-n6", "q2-n13"])
+def test_fast_oracle_equals_closed_form_at_scale(field, n):
+    # two degree-1 bad places; both bounds are past the enumeration budget,
+    # which measures the enumerate path, so the fast path needs the override
+    spec = from_poly(field, poly_from_string(field, "t^2+t"), 2)
+    assert len(spec.bad_places) == 2
+    m_max = spec.d * n
+    series = series_coefficients(assemble_zeta(spec).combined, m_max)
+    table = count_canonical_heights(spec.phi(), m_max, override=True)
+    assert [table[m] for m in range(m_max + 1)] == series[: m_max + 1]
+
+
 def test_region_counts_match_partial_zetas():
     spec = from_poly(F5, poly_from_string(F5, "t^2+t"), 2)
     from heightzeta.oracle import count_region
