@@ -8,6 +8,7 @@ from .asymptotics import (
     main_term,
     main_terms,
     predicted_coefficient,
+    predicted_coefficients,
     remainder_check,
     stirling2,
     stirling_pochhammer_check,
@@ -47,6 +48,7 @@ from .qfuncs import (
     exponent_gcd_normalize,
     laurent_at_pole,
     orbit_contribution,
+    orbit_contributions,
     principal_part_remainder,
     qpoly_factor,
     series_coefficients,

@@ -11,9 +11,11 @@ parts), whose denominator has all roots outside the closed unit disk.  So
 p_m is the m-th Taylor coefficient of the summed principal parts, and every
 main term is a prefix sum of that one rational series.  The summed
 principal parts come from partial fractions over Q; the trace formula above
-(orbit_contribution) computes p_m independently from the Laurent data, as
-the check inside remainder_check.  All predictions are exact rationals; the
-only floats are the certified decay base and the advisory pole locations.
+(orbit_contributions, stepping u^(-m) through every m in one pass) computes
+p_m independently from the Laurent data, as the check inside
+remainder_check.  All predictions are exact rationals; the only floats are
+the decay base, read off the exact root moduli of the remainder's
+denominator factors, and the advisory pole locations.
 
 Also here: Stirling and Bernoulli numbers with the identities that link them
 (the Laurent expansion of 1/(1 - e^(-x))^k in lemma51_check), each verifiable
@@ -31,7 +33,8 @@ from .qfuncs import (
     QPoly,
     QRatFunc,
     exponent_gcd_normalize,
-    orbit_contribution,
+    orbit_contributions,
+    qpoly_factor,
     series_coefficients,
     split_principal_parts,
     unit_disk_poles,
@@ -118,9 +121,12 @@ class AsymptoticReport:
 
     normalized is the zeta function rewritten in wtilde = alpha^(-s) with
     alpha = q^(alpha_exponent/d); principal is the sum of all strip principal
-    parts, and remainder = normalized - principal; decay_base is a certified
-    float upper bound (< 1) for the geometric rate of the remainder
-    coefficients, 0.0 when the remainder is a polynomial.
+    parts, and remainder = normalized - principal; decay_base is a float
+    upper bound (< 1) for the geometric rate of the remainder coefficients:
+    the largest 1/|root| = |c_n/c_0|^(1/n) over the irreducible factors
+    c_0 + ... + c_n w^n of the remainder's denominator (each has all its
+    roots on one circle), times 1 + 1e-9; 0.0 when the remainder is a
+    polynomial.
     """
 
     q: int
@@ -141,10 +147,12 @@ def build_report(z: QRatFunc, q: int, d: int) -> AsymptoticReport:
     if remainder.den.degree == 0:
         decay = 0.0
     else:
-        import numpy as np
-
-        roots = np.roots([float(c) for c in reversed(remainder.den.coeffs)])
-        decay = float(1.0 / min(abs(r) for r in roots)) * (1 + 1e-9)
+        # every factor passed unit_disk_poles' equal-modulus guard, so its
+        # roots all have modulus |c_0/c_n|^(1/n)
+        _, factors = qpoly_factor(remainder.den)
+        decay = max(
+            float(abs(p.leading() / p.coeffs[0])) ** (1.0 / p.degree) for p, _ in factors
+        ) * (1 + 1e-9)
         if decay >= 1.0:
             raise RuntimeError("remainder denominator has a root inside the closed unit disk")
     return AsymptoticReport(
@@ -159,11 +167,17 @@ def build_report(z: QRatFunc, q: int, d: int) -> AsymptoticReport:
     )
 
 
+def predicted_coefficients(report: AsymptoticReport, m_max: int) -> list[Fraction]:
+    """Exact trace-summed predictions p_0..p_M for the Dirichlet coefficients."""
+    totals = [Fraction(0)] * (m_max + 1)
+    for rec in report.pole_records:
+        totals = [t + c for t, c in zip(totals, orbit_contributions(rec, m_max))]
+    return totals
+
+
 def predicted_coefficient(report: AsymptoticReport, m: int) -> Fraction:
-    """Exact trace-summed prediction p_m for the m-th Dirichlet coefficient."""
-    return sum(
-        (orbit_contribution(rec, m) for rec in report.pole_records), Fraction(0)
-    )
+    """predicted_coefficients(report, m)[m]: the prediction p_m at one m."""
+    return predicted_coefficients(report, m)[m]
 
 
 def main_terms(report: AsymptoticReport, k_max: int) -> list[Fraction]:
@@ -208,11 +222,12 @@ def remainder_check(report: AsymptoticReport, m_max: int) -> RemainderCheck:
     """
     a = series_coefficients(report.normalized, m_max)
     g = series_coefficients(report.remainder, m_max)
+    p = predicted_coefficients(report, m_max)
     diffs = []
     match = True
     first_failure = None
     for m in range(m_max + 1):
-        delta = a[m] - predicted_coefficient(report, m)
+        delta = a[m] - p[m]
         diffs.append(delta)
         if delta != g[m] and first_failure is None:
             match = False

@@ -648,6 +648,13 @@ class RatFuncFq:
         self.num = num
         self.den = den
 
+    @classmethod
+    def from_canonical(cls, num: PolyFq, den: PolyFq) -> "RatFuncFq":
+        """Wrap parts already in canonical form (coprime, den monic) unreduced."""
+        x = cls.__new__(cls)
+        x.num, x.den = num, den
+        return x
+
     @property
     def field(self) -> FqField:
         return self.num.field

@@ -88,14 +88,16 @@ def _check_method(method: str):
         raise ValueError(f"unknown counting method {method!r}")
 
 
-def _coprime_numerators(field: FqField, den: PolyFq, n: int):
-    if den.is_one():
-        yield from all_polys(field, n)
-        return
+def _elements(field: FqField, den: PolyFq, n: int):
+    """Every num/den with deg num <= n in canonical form, for one monic den.
+
+    Only coprime numerators are kept, so each element is built unreduced.
+    """
+    coprime = den.is_one()
     one = field.poly_one()
     for num in all_polys(field, n):
-        if num.gcd(den) == one:
-            yield num
+        if coprime or num.gcd(den) == one:
+            yield RatFuncFq.from_canonical(num, den)
 
 
 def enumerate_elements(field: FqField, n: int, override: bool = False):
@@ -104,8 +106,7 @@ def enumerate_elements(field: FqField, n: int, override: bool = False):
         raise ValueError("height exponent bound must be >= 0")
     _check_budget(field, n, override)
     for den in _denominators(field, n):
-        for num in _coprime_numerators(field, den, n):
-            yield RatFuncFq(num, den)
+        yield from _elements(field, den, n)
 
 
 def _sieve(field: FqField, n: int, bad_places):
@@ -206,8 +207,8 @@ def count_canonical_heights(
                     add(d * h + corr, c)
     else:
         for den in _denominators(field, n):
-            for num in _coprime_numerators(field, den, n):
-                add(canonical_height_exp(RatFuncFq(num, den), phi), 1)
+            for x in _elements(field, den, n):
+                add(canonical_height_exp(x, phi), 1)
     return CountTable(q=field.q, d=d, counts=counts, max_m=m_max)
 
 
@@ -246,8 +247,8 @@ def count_region(
     else:
         for den in _denominators(field, h_max):
             if sum(1 << i for i, bp in enumerate(bad) if (den % bp.pi).is_zero()) == want:
-                for num in _coprime_numerators(field, den, h_max):
-                    add(standard_height_exp(RatFuncFq(num, den)), 1)
+                for x in _elements(field, den, h_max):
+                    add(standard_height_exp(x), 1)
     return CountTable(q=field.q, d=phi.d, counts=counts, max_m=h_max)
 
 

@@ -16,7 +16,12 @@ and summing over the orbit is a field trace, so predictions stay rational.
 log(alpha) itself is never materialized: the stored c_n are the coefficients
 of (log alpha)^(-n) (s-a)^(-n), which keeps all data algebraic.  The
 Laurent data feeds the pole display and the trace check; the principal parts
-themselves are read off the denominator factorization alone.
+themselves are read off the denominator factorization alone.  The trace
+check steps u^(-m) through m = 0, 1, ... at O(deg p) cost per step
+(orbit_contributions).  Pole locations are advisory floats: the real part
+comes from the exact modulus |p(0)/lead(p)|^(1/deg p), shared by the whole
+orbit, and the imaginary part from the argument of a root found by an
+Aberth-Ehrlich iteration (_roots).
 """
 
 from __future__ import annotations
@@ -885,13 +890,49 @@ def exponent_gcd_normalize(z: QRatFunc):
     return e, QRatFunc(z.num.decimate(e), z.den.decimate(e))
 
 
-def _strip_location(root: complex, log_alpha: float) -> tuple[float, float]:
+def _strip_location(root: complex, modulus: float, log_alpha: float) -> tuple[float, float]:
     theta = math.atan2(root.imag, root.real)
     if theta > 0:
         theta -= 2 * math.pi
-    re = -math.log(abs(root)) / log_alpha + 0.0
+    re = -math.log(modulus) / log_alpha + 0.0
     im = -theta / log_alpha + 0.0
     return re, im
+
+
+def _roots(coeffs, radius: float) -> list[complex]:
+    """Every complex root of sum_i coeffs[i] u^i, by Aberth-Ehrlich iteration.
+
+    Aberth (Math. Comp. 1973): each sweep moves every approximation y_k by
+    w / (1 - w * sum_(j != k) 1/(y_k - y_j)), w = p(y_k)/p'(y_k), using the
+    moved y_j at once.  The polynomial is first rescaled to u = radius * y,
+    so that roots of modulus radius lie on |y| = 1, where the starting points
+    are spread.  A root stops moving once |p(y)| is within rounding error of
+    the Horner sum of the |coefficients|.  Plain floats; display only.
+    """
+    n = len(coeffs) - 1
+    c0 = coeffs[0]
+    b = [float(c / c0) * radius**i for i, c in enumerate(coeffs)]
+    b.reverse()
+    ys = [complex(math.cos(t), math.sin(t)) for t in (2 * math.pi * k / n + 0.4 for k in range(n))]
+    moving = set(range(n))
+    for _ in range(50 * n + 100):
+        for k in list(moving):
+            y = ys[k]
+            ay = abs(y)
+            val, der, bound = 0j, 0j, 0.0
+            for a in b:
+                der = der * y + val
+                val = val * y + a
+                bound = bound * ay + abs(a)
+            if abs(val) <= 4e-16 * n * bound:
+                moving.discard(k)
+                continue
+            w = val / der
+            pull = sum(1 / (y - x) for j, x in enumerate(ys) if j != k)
+            ys[k] = y - w / (1 - w * pull)
+        if not moving:
+            break
+    return [radius * y for y in ys]
 
 
 def unit_disk_poles(z: QRatFunc, q: int, d: int, e: int) -> list[PoleRecord]:
@@ -904,8 +945,6 @@ def unit_disk_poles(z: QRatFunc, q: int, d: int, e: int) -> list[PoleRecord]:
     """
     if z.den.eval(0) == 0:
         raise ValueError("denominator vanishes at 0")
-    import numpy as np
-
     log_alpha = (e / d) * math.log(q)
     _, factors = qpoly_factor(z.den)
     records = []
@@ -914,16 +953,19 @@ def unit_disk_poles(z: QRatFunc, q: int, d: int, e: int) -> list[PoleRecord]:
         c0 = p.coeffs[0]
         ck = p.leading()
         modulus = float(abs(Fraction(c0, ck))) ** (1.0 / deg)
-        roots = np.roots([float(c) for c in reversed(p.coeffs)])
+        roots = [
+            complex(r.real, 0.0) if abs(r.imag) <= 1e-12 * abs(r) else r
+            for r in _roots(p.coeffs, modulus)
+        ]
         for r in roots:
-            if abs(abs(complex(r)) - modulus) > _EQUAL_MODULUS_TOL * max(1.0, modulus):
+            if abs(abs(r) - modulus) > _EQUAL_MODULUS_TOL * max(1.0, modulus):
                 raise MixedModulusError(
                     "mixed-modulus factor: exact orbit summation unavailable"
                 )
         if abs(c0.numerator * ck.denominator) > abs(ck.numerator * c0.denominator):
             continue  # modulus > 1: pole has Re(a) < 0
         located = sorted(
-            ((_strip_location(complex(r), log_alpha), complex(r)) for r in roots),
+            ((_strip_location(r, modulus, log_alpha), r) for r in roots),
             key=lambda t: (t[0][1], t[0][0]),
         )
         records.append(
@@ -978,22 +1020,51 @@ def with_laurent(z: QRatFunc, rec: PoleRecord) -> PoleRecord:
     return replace(rec, laurent=tuple(laurent_at_pole(z, rec)))
 
 
-def orbit_contribution(rec: PoleRecord, m: int) -> Fraction:
-    """Exact total of alpha^(am) * sum_n c_n(a) m^(n-1)/(n-1)! over the record's poles.
+def orbit_contributions(rec: PoleRecord, m_max: int) -> list[Fraction]:
+    """Orbit sums of alpha^(am) * sum_n c_n(a) m^(n-1)/(n-1)!, exactly, for every m <= m_max.
 
-    alpha^(am) = u0^(-m) at each root u0, so the orbit sum is the trace of
-    u^(-m) * sum_n c_n m^(n-1)/(n-1)! in Q[u]/(factor); m^0 = 1 even at m = 0.
+    alpha^(am) = u0^(-m) at each root u0, so the m-th orbit sum is the trace
+    of sum_n u^(-m) c_n m^(n-1)/(n-1)! in Q[u]/(factor); m^0 = 1 even at
+    m = 0.  Each v_n = u^(-m) c_n is stepped to the next m in O(deg): with
+    factor = a_0 + a_1 u + ... + a_k u^k (primitive integers), u^(-1) =
+    -(a_1 + a_2 u + ... + a_k u^(k-1))/a_0, so x u^(-1) = (x_1 + x_2 u + ...
+    + x_(k-1) u^(k-2)) + x_0 u^(-1).  The v_n are kept as integer vectors
+    over the common denominator scale * a_0^m, and each trace is their dot
+    product with the power sums Tr(u^i).
     """
     p = rec.factor
     if p.coeffs[0] == 0:
         raise ValueError("factor vanishes at 0; u is not invertible")
     if not rec.laurent:
         raise ValueError("laurent coefficients not filled")
-    acc = NumberFieldElem(p, QPoly(()))
-    for n, c in enumerate(rec.laurent, start=1):
-        acc = acc + c.scale(Fraction(m ** (n - 1), factorial(n - 1)))
-    u = NumberFieldElem.generator(p)
-    return (u.pow_(-m) * acc).trace()
+    _, a = _primitive(p.coeffs)
+    sums = _power_sums(p.coeffs)
+    sums_den = lcm(*[s.denominator for s in sums])
+    sums_int = [s.numerator * (sums_den // s.denominator) for s in sums]
+    reps = [c.rep.coeffs for c in rec.laurent]
+    laurent_den = lcm(*[c.denominator for rep in reps for c in rep])
+    vs = [[c.numerator * (laurent_den // c.denominator) for c in rep] + [0] * (len(a) - len(rep))
+          for rep in reps]
+    top = factorial(len(reps) - 1)
+    weights = [top // factorial(n - 1) for n in range(1, len(reps) + 1)]  # (N-1)!/(n-1)!
+    scale = sums_den * laurent_den * top
+    a0, tail = a[0], a[1:]
+    out = []
+    for m in range(m_max + 1):
+        total, m_pow = 0, 1
+        for weight, v in zip(weights, vs):
+            total += weight * m_pow * sum(x * s for x, s in zip(v, sums_int))
+            m_pow *= m
+        out.append(Fraction(total, scale))
+        # a_0 * (v * u^(-1)), with the padding slot v[k] = 0 kept in place
+        vs = [[a0 * x - v[0] * c for x, c in zip(v[1:], tail)] + [0] for v in vs]
+        scale *= a0
+    return out
+
+
+def orbit_contribution(rec: PoleRecord, m: int) -> Fraction:
+    """orbit_contributions(rec, m)[m]: the orbit sum at one m."""
+    return orbit_contributions(rec, m)[m]
 
 
 def split_principal_parts(z: QRatFunc, records: list[PoleRecord]) -> tuple[QRatFunc, QRatFunc]:

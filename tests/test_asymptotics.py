@@ -10,6 +10,7 @@ from heightzeta.asymptotics import (
     main_term,
     main_terms,
     predicted_coefficient,
+    predicted_coefficients,
     remainder_check,
     stirling2,
     stirling_pochhammer_check,
@@ -238,6 +239,7 @@ def test_series_main_terms_equal_trace_predictions(fixture, request):
     report = build_report(assemble_zeta(spec).combined, spec.q, spec.d)
     e = report.alpha_exponent
     p = [predicted_coefficient(report, m) for m in range(24 // e + 1)]
+    assert p == predicted_coefficients(report, 24 // e)
     mains = main_terms(report, 24)
     for k in range(25):
         expected = sum(p[: k // e + 1], Fraction(0))

@@ -181,13 +181,26 @@ M_ANCHOR = {
 }
 
 
+L_ANCHOR = {
+    "q": 7,
+    "genus": 1,
+    "d": 5,
+    "frobenius_trace": 2,
+    "bad_places": [
+        {"f_v": 1, "vf": 1}, {"f_v": 2, "vf": 3}, {"f_v": 3, "vf": 2}, {"f_v": 1, "vf": 4},
+    ],
+}
+
+
 def test_cli_start_up_loads_neither_sympy_nor_numpy(tmp_path):
     code = (
         "import sys\n"
         "import heightzeta.cli as cli\n"
-        "loaded = [name in sys.modules for name in ('sympy', 'numpy')]\n"
-        "assert cli.main(['poles', '--spec', sys.argv[1], '--format', 'json']) == 0\n"
-        "print(loaded, 'sympy' in sys.modules)\n"
+        "names = ('sympy', 'numpy')\n"
+        "loaded = [name in sys.modules for name in names]\n"
+        "for argv in (['poles'], ['asymptote', '--all-up-to', '12'], ['verify']):\n"
+        "    assert cli.main(argv + ['--spec', sys.argv[1], '--format', 'json']) == 0\n"
+        "print(loaded, [name in sys.modules for name in names])\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
@@ -195,7 +208,19 @@ def test_cli_start_up_loads_neither_sympy_nor_numpy(tmp_path):
         [sys.executable, "-c", code, _write(tmp_path, "m.json", M_ANCHOR)],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert run.stdout.splitlines()[-1] == "[False, False] False"
+    assert run.stdout.splitlines()[-1] == "[False, False] [False, False]"
+
+
+def test_poles_share_the_exact_modulus_real_part(tmp_path, capsys):
+    assert main(["poles", "--spec", _write(tmp_path, "l.json", L_ANCHOR), "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    # 49w^5 - 1 has the real root 49^(-1/5): its pole stays on the Im = 0 branch
+    assert records[0]["min_poly"] == [-1, 0, 0, 0, 0, 49]
+    assert records[0]["poles"][0] == [2.0, 0.0]
+    for rec in records:
+        assert len({re for re, _ in rec["poles"]}) == 1
+        if rec["modulus"] == 1.0:
+            assert all(re == 0.0 for re, _ in rec["poles"])
 
 
 def test_curve_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -14,10 +15,12 @@ from heightzeta.qfuncs import (
     QRatFunc,
     _cyclotomic,
     _euclid_gcd,
+    _roots,
     _totients_up_to,
     exponent_gcd_normalize,
     laurent_at_pole,
     orbit_contribution,
+    orbit_contributions,
     poly_str,
     principal_part_remainder,
     qpoly_factor,
@@ -210,6 +213,33 @@ def test_mixed_modulus_factor_rejected():
         unit_disk_poles(R((1,), (-1, 1, 1)), 5, 2, 1)
 
 
+def _modulus(coeffs) -> float:
+    return float(abs(Fraction(coeffs[0]) / Fraction(coeffs[-1]))) ** (1.0 / (len(coeffs) - 1))
+
+
+def _assert_roots_on_circle(coeffs):
+    """_roots finds deg distinct roots, each on the exact-modulus circle."""
+    radius = _modulus(coeffs)
+    roots = _roots([Fraction(c) for c in coeffs], radius)
+    assert len(roots) == len(coeffs) - 1
+    for r in roots:
+        assert abs(abs(r) - radius) <= 1e-12 * radius
+        value = sum(float(c) * r**i for i, c in enumerate(coeffs))
+        size = sum(abs(float(c)) * abs(r) ** i for i, c in enumerate(coeffs))
+        assert abs(value) <= 1e-13 * size
+    gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
+    assert min(gaps, default=radius) > 1e-6 * radius
+
+
+def test_roots_of_cyclotomic_and_anchor_factors(d32_spec):
+    for n in range(1, 41):
+        _assert_roots_on_circle(_cyclotomic(n))
+    _assert_roots_on_circle((-1, 0, 0, 0, 0, 49))  # the L anchor's 49w^5 - 1
+    _assert_roots_on_circle((1, 0, 5))  # the S anchor's conjugate pair
+    (big,) = [rec.factor for rec in _pole_records(d32_spec) if rec.factor.degree == 64]
+    _assert_roots_on_circle(big.coeffs)
+
+
 def test_laurent_toy_cases():
     recs = [with_laurent(TOY, r) for r in unit_disk_poles(TOY, 5, 2, 1)]
     assert recs[0].laurent[0].rep == QPoly((Fraction(4, 5),))
@@ -279,6 +309,36 @@ def test_orbit_contribution_examples():
     # trace over Q[u]/(u-1) is the identity
     one = QPoly((-1, 1))
     assert NumberFieldElem(one, QPoly((Fraction(7, 3),))).trace() == Fraction(7, 3)
+
+
+def reference_orbit_contribution(rec: PoleRecord, m: int) -> Fraction:
+    """One m at a time: invert u, raise it to the m-th power, take the trace."""
+    p = rec.factor
+    acc = NumberFieldElem(p, QPoly(()))
+    for n, c in enumerate(rec.laurent, start=1):
+        acc = acc + c.scale(Fraction(m ** (n - 1), math.factorial(n - 1)))
+    return (NumberFieldElem.generator(p).pow_(-m) * acc).trace()
+
+
+@lru_cache(maxsize=None)
+def _pole_records(spec) -> tuple[PoleRecord, ...]:
+    """The spec's pole records with Laurent data (no principal parts)."""
+    from heightzeta.zeta import assemble_zeta
+
+    e, zt = exponent_gcd_normalize(assemble_zeta(spec).combined)
+    return tuple(with_laurent(zt, rec) for rec in unit_disk_poles(zt, spec.q, spec.d, e))
+
+
+@pytest.mark.parametrize(
+    "spec_name", ["inert_spec", "m_anchor_spec", "l_anchor_spec", "xl_anchor_spec", "d32_spec"]
+)
+def test_stepped_orbit_contributions_equal_the_per_m_reference(spec_name, request):
+    records = _pole_records(request.getfixturevalue(spec_name))
+    assert records
+    for rec in records:
+        stepped = orbit_contributions(rec, 60)
+        assert stepped == [reference_orbit_contribution(rec, m) for m in range(61)]
+        assert orbit_contribution(rec, 17) == stepped[17]
 
 
 def test_principal_part_remainder_examples():
@@ -499,3 +559,27 @@ def test_trace_is_additive_and_equals_the_matrix_trace(p, a, b, c):
     assert x.trace() == _matrix_trace(x)
     assert (x + y).trace() == x.trace() + y.trace()
     assert NumberFieldElem.rational(p, c).trace() == p.degree * c
+
+
+def _is_irreducible(p: QPoly) -> bool:
+    _, factors = qpoly_factor(p)
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+@settings(max_examples=30)
+@given(
+    p=_polys_of_degree_at_least(1).filter(lambda p: p.coeffs[0] != 0).filter(_is_irreducible),
+    reps=st.lists(polys, min_size=2, max_size=4),
+)
+def test_stepped_orbit_contributions_on_random_fields(p, reps):
+    rec = PoleRecord(
+        factor=p,
+        order=len(reps),
+        modulus=_modulus(p.coeffs),
+        alpha_exponent=1,
+        numeric_poles=(),
+        numeric_roots=(),
+        laurent=tuple(NumberFieldElem(p, rep) for rep in reps),
+    )
+    stepped = orbit_contributions(rec, 60)
+    assert stepped == [reference_orbit_contribution(rec, m) for m in range(61)]
