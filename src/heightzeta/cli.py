@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import accumulate
 
 from .asymptotics import build_report, main_terms, remainder_check
@@ -153,10 +152,6 @@ def spec_to_json(spec: ProblemSpec) -> dict:
     return out
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _ratfunc_json(z: QRatFunc) -> dict:
     num, den = z.to_integer_pair()
     return {"num": num, "den": den}
@@ -238,7 +233,7 @@ def cmd_poles(args) -> int:
                     [float(f"{re:.12g}"), float(f"{im:.12g}")] for re, im in rec.numeric_poles
                 ],
                 "laurent": [
-                    {"min_poly": min_poly, "coeffs": [_frac(c) for c in elem.rep.coeffs]}
+                    {"min_poly": min_poly, "coeffs": [str(c) for c in elem.rep.coeffs]}
                     for elem in rec.laurent
                 ],
             }
@@ -278,11 +273,11 @@ def cmd_asymptote(args) -> int:
         row = {
             "k": k,
             "bound": f"{spec.q}^({k}/{spec.d})",
-            "main_term": _frac(predicted),
+            "main_term": str(predicted),
         }
         if oracle_cumulative is not None:
             row["oracle"] = oracle_cumulative[k]
-            row["difference"] = _frac(oracle_cumulative[k] - predicted)
+            row["difference"] = str(oracle_cumulative[k] - predicted)
         rows.append(row)
     payload = {"alpha_exponent": report.alpha_exponent, "rows": rows}
     if args.format == "json":

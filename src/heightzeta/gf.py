@@ -6,6 +6,15 @@ of the coefficient vector of the residue class modulo the defining modulus,
 least significant digit first.  Keeping elements as ints makes polynomial
 loops cheap and lets tables drive extension-field arithmetic.
 
+An extension field builds three lists once, from a primitive element g
+(Zech logarithms; Lidl and Niederreiter, *Finite Fields*): ``exp[i]`` is
+the code of g^i, ``log[code]`` the discrete log, and ``zech[k]`` the log of
+1 + g^k.  Then a*b = exp[log a + log b], 1/a = exp[q-1 - log a],
+-a = exp[log a + (q-1)/2] in odd characteristic, and
+a + b = exp[log a + zech[log b - log a]], so each operation takes one to
+three lookups.  The lists have O(q) entries, which is why extension fields
+are admitted only up to ``MAX_EXTENSION_Q``.
+
 Polynomials are immutable ascending coefficient tuples with no trailing
 zeros; the zero polynomial is the empty tuple.  Rational functions are kept
 in canonical form: monic denominator, numerator and denominator coprime,
@@ -22,8 +31,8 @@ import operator
 import random
 from itertools import product
 
-_TABLE_LIMIT = 4096  # build full mul/inv tables for extension fields up to this q
 MAX_Q = 2**20  # largest field size FqField accepts
+MAX_EXTENSION_Q = 2**16  # largest extension field; each one builds O(q) log tables
 # Highest power of t a polynomial string may name.  The parsed coefficient
 # list is dense, and factoring a map's f slows steeply with its degree.
 MAX_TEXT_DEGREE = 64
@@ -68,6 +77,8 @@ class FqField:
             raise ValueError("extension degree must be >= 1")
         if p**e > MAX_Q:
             raise ValueError(f"q = {p}^{e} exceeds the supported size 2^20")
+        if e > 1 and p**e > MAX_EXTENSION_Q:
+            raise ValueError(f"q = {p}^{e} exceeds the supported extension-field size 2^16")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
@@ -75,8 +86,6 @@ class FqField:
         self.q = p**e
         if e == 1:
             self.modulus = (0, 1) if modulus is None else tuple(c % p for c in modulus)
-            self._mul_table = None
-            self._inv_table = None
             return
         if modulus is None:
             raise ValueError("an explicit irreducible modulus is required for e > 1")
@@ -86,17 +95,9 @@ class FqField:
         self.modulus = mod
         if not _modulus_irreducible(p, mod):
             raise ValueError("modulus is reducible over F_p")
-        self._mul_table = None
-        self._inv_table = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._exp, self._log, self._zech = _log_tables(p, e, mod)
 
     # -- encoding ----------------------------------------------------------
-
-    def vector(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector (length e) of the element code ``a``."""
-        p = self.p
-        return tuple((a // p**i) % p for i in range(self.e))
 
     def from_vector(self, vec) -> int:
         p = self.p
@@ -117,27 +118,21 @@ class FqField:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
-        code = 0
-        mul = 1
-        for _ in range(self.e):
-            code += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return code
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[(log[b] - la) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        p = self.p
-        code = 0
-        mul = 1
-        for _ in range(self.e):
-            code += ((-a) % p) * mul
-            a //= p
-            mul *= p
-        return code
+        if self.p == 2 or not a:
+            return a
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -145,18 +140,17 @@ class FqField:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_generic(a, b)
+        if not a or not b:
+            return 0
+        log = self._log
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero divisor")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow_(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow_(self, a: int, n: int) -> int:
         if n < 0:
@@ -166,40 +160,6 @@ class FqField:
     def pth_root(self, a: int) -> int:
         """Inverse of the Frobenius x -> x^p (x -> x^(p^(e-1)))."""
         return self.pow_(a, self.p ** (self.e - 1))
-
-    def _mul_generic(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        va = self.vector(a)
-        vb = self.vector(b)
-        prod = [0] * (2 * e - 1)
-        for i, ca in enumerate(va):
-            if ca:
-                for j, cb in enumerate(vb):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        # reduce mod the defining polynomial
-        mod = self.modulus
-        for k in range(len(prod) - 1, e - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(e):
-                    prod[k - e + i] = (prod[k - e + i] - c * mod[i]) % p
-        return self.from_vector(prod[:e])
-
-    def _build_tables(self):
-        q = self.q
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            row = table[a]
-            for b in range(a, q):
-                v = self._mul_generic(a, b)
-                row[b] = v
-                table[b][a] = v
-        self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow_(a, q - 2)
-        self._inv_table = inv
 
     def __eq__(self, other):
         return (
@@ -234,12 +194,48 @@ def _modulus_irreducible(p: int, mod: tuple[int, ...]) -> bool:
     return PolyFq(base, mod).is_irreducible()
 
 
+def _log_tables(p: int, e: int, mod: tuple[int, ...]):
+    """Antilog, log and Zech-log lists of F_p[y]/(mod) for a primitive element g.
+
+    ``exp[i]`` is the code of g^i for i < 2(q-1), so a sum of two logs indexes
+    it directly; ``log[code]`` is the discrete log of a nonzero element; and
+    ``zech[k]`` is log(1 + g^k), or -1 where 1 + g^k = 0.  g is the first
+    code whose (q-1)/r-th power is not 1 for any prime r dividing q - 1.
+    """
+    q = p**e
+    base = FqField(p)
+    modulus = PolyFq(base, mod)
+    cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    for g in range(2, q):
+        gen = PolyFq(base, [g // p**i % p for i in range(e)])
+        if all(not gen.powmod(n, modulus).is_one() for n in cofactors):
+            break
+    weights = [p**i for i in range(e)]
+    exp = [0] * (2 * (q - 1))
+    log = [0] * q
+    v = PolyFq(base, (1,))
+    for i in range(q - 1):
+        code = sum(c * w for c, w in zip(v.coeffs, weights))
+        exp[i] = exp[i + q - 1] = code
+        log[code] = i
+        v = v * gen % modulus
+    zech = [0] * (q - 1)
+    for k in range(q - 1):
+        code = exp[k]
+        digit = code % p
+        plus_one = code - digit + (digit + 1) % p
+        zech[k] = log[plus_one] if plus_one else -1
+    return exp, log, zech
+
+
 def _fp_divmod(a, b, p: int):
-    """Quotient and remainder of ``a`` by ``b`` over F_p, on int coefficient lists.
+    """Quotient and remainder of ``a`` by ``b`` modulo ``p``, on int coefficient lists.
 
     Both are ascending and reduced mod p; ``b`` is nonzero with no trailing
-    zeros.  Returns (quot, rem) as lists, ``rem`` without trailing zeros.
-    Coefficients are reduced mod p only where one is read.
+    zeros.  A monic ``b`` may be divided modulo any integer p > 1; a leading
+    coefficient other than 1 is inverted, which needs p prime.  Returns
+    (quot, rem) as lists, ``rem`` without trailing zeros.  Coefficients are
+    reduced mod p only where one is read.
     """
     db = len(b) - 1
     if len(a) <= db:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
 
-from .gf import FqField, PolyFq, _distinct_degree, _equal_degree_split, _is_prime, _power, _prime_divisors
+from .gf import FqField, PolyFq, _distinct_degree, _equal_degree_split, _fp_divmod, _is_prime, _power, _prime_divisors
 
 _EQUAL_MODULUS_TOL = 1e-9
 
@@ -633,19 +633,6 @@ def _sub_mod(a: list[int], b: list[int], m: int) -> list[int]:
     return _add_mod(a, [-v for v in b], m)
 
 
-def _divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """(q, r) with a = q*b + r mod m and deg r < deg b, for monic b."""
-    db = len(b) - 1
-    a = list(a)
-    quot = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] % m
-        if c:
-            quot[k - db] = c
-            a[k - db:k] = [x - c * y for x, y in zip(a[k - db:k], b)]
-    return _trim(quot), _trim([v % m for v in a[:db]])
-
-
 def _bezout(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
     """(s, t) with s*g + t*h = 1 mod the prime p, deg s < deg h, deg t < deg g.
 
@@ -653,13 +640,11 @@ def _bezout(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
     """
     r0, r1, s0, s1 = g, h, [1], []
     while r1:
-        inv = pow(r1[-1], -1, p)
-        q, r = _divmod_monic(r0, [c * inv % p for c in r1], p)
-        q = [c * inv % p for c in q]
+        q, r = _fp_divmod(r0, r1, p)
         r0, r1, s0, s1 = r1, r, s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
     inv = pow(r0[0], -1, p)
-    s = _divmod_monic([c * inv % p for c in s0], h, p)[1]
-    t = _divmod_monic(_sub_mod([1], _mul_mod(s, g, p), p), h, p)[0]
+    s = _fp_divmod([c * inv % p for c in s0], h, p)[1]
+    t = _fp_divmod(_sub_mod([1], _mul_mod(s, g, p), p), h, p)[0]
     return s, t
 
 
@@ -689,11 +674,11 @@ def _hensel_lift(node, f: list[int], m: int):
     g, h, s, t = node[:4]
     m2 = m * m
     e = _sub_mod(f, _mul_mod(g, h, m2), m2)
-    q, r = _divmod_monic(_mul_mod(s, e, m2), h, m2)
+    q, r = _fp_divmod(_mul_mod(s, e, m2), h, m2)
     g = _add_mod(g, _add_mod(_mul_mod(t, e, m2), _mul_mod(q, g, m2), m2), m2)
     h = _add_mod(h, r, m2)
     b = _sub_mod(_add_mod(_mul_mod(s, g, m2), _mul_mod(t, h, m2), m2), [1], m2)
-    c, d = _divmod_monic(_mul_mod(s, b, m2), h, m2)
+    c, d = _fp_divmod(_mul_mod(s, b, m2), h, m2)
     s = _sub_mod(s, d, m2)
     t = _sub_mod(t, _add_mod(_mul_mod(t, b, m2), _mul_mod(c, g, m2), m2), m2)
     node[:4] = g, h, s, t

@@ -338,6 +338,24 @@ def test_huge_q_exits_2_at_once(tmp_path, capsys):
     assert "2^20" in capsys.readouterr().err
 
 
+def test_extension_field_of_order_4096_runs(tmp_path, capsys):
+    payload = {"q": 4096, "genus": 0, "d": 3, "f": "t^3+t+1", "base_modulus": "t^12+t^3+1"}
+    spec = _write(tmp_path, "s.json", payload)
+    start = time.perf_counter()
+    assert main(["zeta", "--spec", spec]) == 0
+    assert main(["verify", "--spec", spec]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+
+
+def test_extension_field_above_2_16_exits_2_at_once(tmp_path, capsys):
+    payload = {"q": 2**17, "genus": 0, "d": 3, "f": "t^3+t+1", "base_modulus": "t^17+t^3+1"}
+    start = time.perf_counter()
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "2^16" in capsys.readouterr().err
+
+
 def test_spec_degree_at_limit_runs(tmp_path, capsys):
     payload = {**G0, "f": f"t^{MAX_TEXT_DEGREE}+t+1"}
     assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 0

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -235,10 +236,9 @@ def test_residue_square_class_vs_exhaustive_search(field):
                 assert got == "nonsquare"
 
 
-def test_large_extension_field_without_tables():
-    # q = 5^6 = 15625 is past the table threshold; generic arithmetic applies
+def test_large_extension_field_arithmetic():
+    # q = 5^6 = 15625, the largest extension field the package uses
     field = FqField(5, 6, (2, 1, 0, 0, 0, 0, 1))  # t^6 + t + 2, irreducible
-    assert field._mul_table is None
     rng = random.Random(77)
     for _ in range(40):
         a, b, c = (rng.randrange(field.q) for _ in range(3))
@@ -249,6 +249,74 @@ def test_large_extension_field_without_tables():
     assert field.pow_(y, 6) == field.neg(field.from_vector((2, 1, 0, 0, 0, 0)))
     with pytest.raises(ValueError, match="2\\^20"):
         FqField(2, 21, tuple([1] * 22))
+
+
+def _reference_ops(field: FqField):
+    """add, sub, neg, mul and a checked inv by PolyFq arithmetic over F_p mod the modulus."""
+    base = FqField(field.p)
+    modulus = PolyFq(base, field.modulus)
+
+    def poly(a):
+        return PolyFq(base, [a // field.p**i % field.p for i in range(field.e)])
+
+    def code(f):
+        return field.from_vector(f.coeffs)
+
+    def check(a, b):
+        x, y = poly(a), poly(b)
+        assert field.add(a, b) == code(x + y)
+        assert field.sub(a, b) == code(x - y)
+        assert field.neg(a) == code(-x)
+        assert field.mul(a, b) == code(x * y % modulus)
+        if a:
+            assert (x * poly(field.inv(a)) % modulus).is_one()
+
+    return check
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)])
+def test_extension_field_tables_match_polynomial_arithmetic(p, e):
+    # every pair, under up to three irreducible moduli; y^2+1 over F_3 is
+    # among them, a modulus whose root y is not a primitive element
+    moduli = [f.coeffs for f in monic_polys(FqField(p), e) if f.is_irreducible()][:3]
+    for mod in moduli:
+        field = FqField(p, e, mod)
+        check = _reference_ops(field)
+        for a in range(field.q):
+            for b in range(field.q):
+                check(a, b)
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus",
+    # t^6+t+2 over F_5 and t^16+t^5+t^3+t+1 over F_2
+    [(5, 6, (2, 1, 0, 0, 0, 0, 1)), (2, 16, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,))],
+    ids=["F5^6", "F2^16"],
+)
+def test_extension_field_tables_on_random_pairs(p, e, modulus):
+    field = FqField(p, e, modulus)
+    check = _reference_ops(field)
+    rng = random.Random(p * 100 + e)
+    for _ in range(2000):
+        check(rng.randrange(field.q), rng.randrange(field.q))
+    check(0, rng.randrange(field.q))
+
+
+def test_extension_field_of_order_4096_builds_at_once():
+    modulus = poly_from_string(FqField(2), "t^12+t^3+1").coeffs
+    start = time.perf_counter()
+    field = FqField(2, 12, modulus)
+    assert field.mul(field.inv(3), 3) == 1
+    assert time.perf_counter() - start < 2
+
+
+def test_extension_fields_above_2_16_are_refused():
+    modulus = poly_from_string(FqField(2), "t^17+t^3+1").coeffs
+    with pytest.raises(ValueError, match="2\\^16"):
+        FqField(2, 17, modulus)
+    with pytest.raises(ValueError, match="2\\^16"):
+        FqField(3, 11, (1, 2) + (0,) * 9 + (1,))
+    assert FqField(1048573).q == 1048573  # prime fields keep the 2^20 bound
 
 
 def test_ratfunc_reduces_to_lowest_terms():
