@@ -27,7 +27,7 @@ import sys
 from itertools import accumulate
 
 from .asymptotics import build_report, main_terms, remainder_check
-from .gf import MAX_Q, FqField, _prime_divisors, poly_from_string, poly_to_string
+from .gf import MAX_EXTENSION_Q, MAX_Q, FqField, _prime_divisors, poly_from_string, poly_to_string
 from .oracle import BudgetExceeded, count_canonical_heights, max_height_exponent_within_budget
 from .places import BadPlace, realize_phi
 from .qfuncs import MixedModulusError, QRatFunc, poly_str, series_coefficients
@@ -60,6 +60,8 @@ def _field_from_spec(data: dict) -> FqField:
     p, e = _prime_power(q)
     if e == 1:
         return FqField(p)
+    if q > MAX_EXTENSION_Q:
+        raise InputError(f"q = {q} = {p}^{e} exceeds the supported extension-field size 2^16")
     modulus_text = data.get("base_modulus")
     if not modulus_text:
         raise InputError(f"q = {q} = {p}^{e} requires a base_modulus polynomial")

@@ -206,19 +206,35 @@ def _log_tables(p: int, e: int, mod: tuple[int, ...]):
     base = FqField(p)
     modulus = PolyFq(base, mod)
     cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+
+    def digits(code, k):
+        return [code // p**i % p for i in range(k)]
+
     for g in range(2, q):
-        gen = PolyFq(base, [g // p**i % p for i in range(e)])
+        gen = PolyFq(base, digits(g, e))
         if all(not gen.powmod(n, modulus).is_one() for n in cofactors):
             break
+    # v -> v*g is F_p-linear, so with v = lo + y^h*hi the digits of v*g are
+    # the digitwise sum mod p of two rows, each looked up from a list of
+    # about sqrt(q) rows: one step costs O(e) on ints.
+    h = e // 2
+    split = p**h
+
+    def row(vec):
+        cs = (PolyFq(base, vec) * gen % modulus).coeffs
+        return cs + (0,) * (e - len(cs))
+
+    lows = [row(digits(c, h)) for c in range(split)]
+    highs = [row([0] * h + digits(c, e - h)) for c in range(q // split)]
     weights = [p**i for i in range(e)]
     exp = [0] * (2 * (q - 1))
     log = [0] * q
-    v = PolyFq(base, (1,))
+    code = 1
     for i in range(q - 1):
-        code = sum(c * w for c, w in zip(v.coeffs, weights))
         exp[i] = exp[i + q - 1] = code
         log[code] = i
-        v = v * gen % modulus
+        hi, lo = divmod(code, split)
+        code = sum(map(operator.mul, [(a + b) % p for a, b in zip(lows[lo], highs[hi])], weights))
     zech = [0] * (q - 1)
     for k in range(q - 1):
         code = exp[k]

@@ -9,8 +9,18 @@ guard refuses runs past 10^8 of these unless overridden.
 Two counting strategies produce the same tables and cross-check each other
 in the tests:
 
-* ``enumerate``: stream every element and measure it directly from the
-  valuation definitions; the slow, assumption-free path.
+* ``enumerate``: visit every element once and measure it from the valuation
+  definitions; the slow, assumption-free path.  The walk finds each part's
+  data once per call rather than once per element: the degree and the
+  multiplicity of every bad place in each numerator of degree <= n, and in
+  each monic denominator.  An element num/den then has
+  v(x) = v(num) - v(den) at each bad place (v(0) = +infinity), which is
+  ``places.valuation`` on canonical form.  Coprimality is Euclid's first
+  step, gcd(num, den) = gcd(num mod den, den): one gcd per residue class
+  mod den, then a lookup of num mod den for each numerator.  It assumes
+  nothing about unit counts, the sieve or any numerator tally in closed
+  form; it does assume that canonical forms are the coprime pairs with a
+  monic denominator, and that the valuation of a product is the sum.
 * ``fast`` (default): walk denominators only.  For a fixed monic Q the
   coprime numerators of degree < deg Q are exactly the unit residues mod Q,
   and each residue class contributes (q-1)q^(a-deg Q) numerators of exact
@@ -28,11 +38,13 @@ how a denominator is tallied.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import gf
-from .gf import FqField, PolyFq, RatFuncFq, all_polys, monic_polys
-from .places import PhiSpec, canonical_height_exp, standard_height_exp
+from .gf import FqField, RatFuncFq, all_polys, monic_polys
+from .places import PhiSpec
 
 DEFAULT_BUDGET = 10**8
 
@@ -77,27 +89,35 @@ def max_height_exponent_within_budget(q: int) -> int:
     return n
 
 
-def _denominators(field: FqField, n: int):
-    """All monic denominators of degree <= n, by degree, then lexicographic."""
-    for b in range(n + 1):
-        yield from monic_polys(field, b)
-
-
 def _check_method(method: str):
     if method not in ("fast", "enumerate"):
         raise ValueError(f"unknown counting method {method!r}")
 
 
-def _elements(field: FqField, den: PolyFq, n: int):
-    """Every num/den with deg num <= n in canonical form, for one monic den.
+def _walk(field: FqField, n: int, pis):
+    """The one element walk: yield (den, b, den_ords, nums) per monic den of degree b <= n.
 
-    Only coprime numerators are kept, so each element is built unreduced.
+    ``nums`` lists the numerators coprime to den, each as (num, deg num,
+    num_ords) in ascending code order, 0 included (degree -1) only when
+    den = 1; the ords are the multiplicities of ``pis`` in the part, with
+    +infinity for 0.  So every x with max(deg num, deg den) <= n comes once,
+    in canonical form and in the enumeration order.  Each numerator's ords
+    are found once per call and each denominator's once.  Coprimality takes
+    one gcd per residue class mod den, by gcd(num, den) = gcd(num mod den, den);
+    each numerator is then looked up by num mod den.  The table holds q^(n+1)
+    numerators, and its first q^b entries are the residues of degree < b.
     """
-    coprime = den.is_one()
-    one = field.poly_one()
-    for num in all_polys(field, n):
-        if coprime or num.gcd(den) == one:
-            yield RatFuncFq.from_canonical(num, den)
+    table = [(num, num.degree,
+              tuple(num.ord_at(pi) for pi in pis) if num.coeffs else (math.inf,) * len(pis))
+             for num in all_polys(field, n)]
+    for b in range(n + 1):
+        for den in monic_polys(field, b):
+            den_ords = tuple(den.ord_at(pi) for pi in pis)
+            if b == 0:
+                yield den, b, den_ords, table
+                continue
+            units = {r.coeffs for r, _, _ in table[: field.q**b] if r.gcd(den).is_one()}
+            yield den, b, den_ords, [e for e in table if (e[0] % den).coeffs in units]
 
 
 def enumerate_elements(field: FqField, n: int, override: bool = False):
@@ -105,8 +125,22 @@ def enumerate_elements(field: FqField, n: int, override: bool = False):
     if n < 0:
         raise ValueError("height exponent bound must be >= 0")
     _check_budget(field, n, override)
-    for den in _denominators(field, n):
-        yield from _elements(field, den, n)
+    for den, _, _, nums in _walk(field, n, ()):
+        for num, _, _ in nums:
+            yield RatFuncFq.from_canonical(num, den)
+
+
+def _tally(field: FqField, n: int, bad_places) -> Counter:
+    """Count the elements by (h, nonneg), each measured by its own valuations.
+
+    h = max(deg num, deg den) and nonneg[i] is v(x) >= 0 at bad place i,
+    with v(x) = v(num) - v(den).
+    """
+    return Counter(
+        (max(a, b), tuple(i - j >= 0 for i, j in zip(num_ords, den_ords)))
+        for _, b, den_ords, nums in _walk(field, n, [bp.pi for bp in bad_places])
+        for _, a, num_ords in nums
+    )
 
 
 def _sieve(field: FqField, n: int, bad_places):
@@ -198,17 +232,17 @@ def count_canonical_heights(
         if m <= m_max:
             counts[m] = counts.get(m, 0) + c
 
+    weights = [bp.f_v * bp.vf for bp in phi.bad_places]
     if method == "fast":
-        weights = [bp.f_v * bp.vf for bp in phi.bad_places]
         for b, sums in _unit_sums(field, n, phi.bad_places):
             for mask, units in sums.items():
                 corr = sum(w for i, w in enumerate(weights) if not mask >> i & 1)
                 for h, c in _degree_class_counts(field.q, b, units, n):
                     add(d * h + corr, c)
     else:
-        for den in _denominators(field, n):
-            for x in _elements(field, den, n):
-                add(canonical_height_exp(x, phi), 1)
+        # m = d*h + sum of f_v*v(f) over the bad places with v(x) >= 0
+        for (h, nonneg), c in _tally(field, n, phi.bad_places).items():
+            add(d * h + sum(w for w, keep in zip(weights, nonneg) if keep), c)
     return CountTable(q=field.q, d=d, counts=counts, max_m=m_max)
 
 
@@ -222,8 +256,9 @@ def count_region(
     """Standard-height histogram of the region D_T for T a set of bad indices.
 
     D_T requires v(x) >= 0 at the bad places indexed by T and v(x) < 0 at
-    the others; membership depends only on which bad places divide the
-    denominator.
+    the others.  ``fast`` uses that membership depends only on which bad
+    places divide the denominator; ``enumerate`` reads it off each element's
+    valuations.
     """
     field = phi.field
     _check_method(method)
@@ -233,22 +268,22 @@ def count_region(
     stray = t_set - frozenset(range(len(bad)))
     if stray:
         raise ValueError(f"bad-place indices {sorted(stray, key=repr)} are not in range({len(bad)})")
-    want = sum(1 << i for i in range(len(bad)) if i not in t_set)
     counts: dict[int, int] = {}
 
     def add(h: int, c: int):
         counts[h] = counts.get(h, 0) + c
 
     if method == "fast":
+        want = sum(1 << i for i in range(len(bad)) if i not in t_set)
         for b, sums in _unit_sums(field, h_max, bad):
             if want in sums:
                 for h, c in _degree_class_counts(field.q, b, sums[want], h_max):
                     add(h, c)
     else:
-        for den in _denominators(field, h_max):
-            if sum(1 << i for i, bp in enumerate(bad) if (den % bp.pi).is_zero()) == want:
-                for x in _elements(field, den, h_max):
-                    add(standard_height_exp(x), 1)
+        inside = tuple(i in t_set for i in range(len(bad)))
+        for (h, nonneg), c in _tally(field, h_max, bad).items():
+            if nonneg == inside:
+                add(h, c)
     return CountTable(q=field.q, d=phi.d, counts=counts, max_m=h_max)
 
 

@@ -356,6 +356,13 @@ def test_extension_field_above_2_16_exits_2_at_once(tmp_path, capsys):
     assert "2^16" in capsys.readouterr().err
 
 
+def test_extension_field_size_is_checked_before_the_modulus(tmp_path, capsys):
+    payload = {"q": 2**17, "genus": 0, "d": 3, "f": "t^3+t+1"}
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert "2^16" in err and "base_modulus" not in err
+
+
 def test_spec_degree_at_limit_runs(tmp_path, capsys):
     payload = {**G0, "f": f"t^{MAX_TEXT_DEGREE}+t+1"}
     assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 0

@@ -9,6 +9,7 @@ from heightzeta.gf import (
     FqField,
     PolyFq,
     RatFuncFq,
+    _prime_divisors,
     all_polys,
     irreducibles_up_to,
     monic_polys,
@@ -300,6 +301,38 @@ def test_extension_field_tables_on_random_pairs(p, e, modulus):
     for _ in range(2000):
         check(rng.randrange(field.q), rng.randrange(field.q))
     check(0, rng.randrange(field.q))
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus",
+    [(5, 6, (2, 1, 0, 0, 0, 0, 1)), (2, 16, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,))],
+    ids=["F5^6", "F2^16"],
+)
+def test_log_tables_follow_their_definition(p, e, modulus):
+    # g = exp[1] is the first primitive code, exp[i] is the code of g^i, and
+    # log and zech are read off exp: this fixes all three lists exactly
+    field = FqField(p, e, modulus)
+    q, exp, log, zech = field.q, field._exp, field._log, field._zech
+    base = FqField(p)
+    mod = PolyFq(base, modulus)
+
+    def poly(code):
+        return PolyFq(base, [code // p**i % p for i in range(e)])
+
+    cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+
+    def primitive(code):
+        return all(not poly(code).powmod(n, mod).is_one() for n in cofactors)
+
+    g = exp[1]
+    assert primitive(g) and not any(primitive(c) for c in range(2, g))
+    assert exp[: q - 1] == exp[q - 1 :] and sorted(exp[: q - 1]) == list(range(1, q))
+    assert all(log[exp[i]] == i for i in range(q - 1))
+    rng = random.Random(q)
+    for i in rng.sample(range(q - 1), 100):
+        assert exp[i] == field.from_vector(poly(g).powmod(i, mod).coeffs)
+        one_plus = field.from_vector((poly(exp[i]) + base.poly_one()).coeffs)
+        assert zech[i] == (log[one_plus] if one_plus else -1)
 
 
 def test_extension_field_of_order_4096_builds_at_once():

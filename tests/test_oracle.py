@@ -1,9 +1,12 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import heightzeta.oracle as oracle
-from heightzeta.gf import FqField, PolyFq, monic_polys, poly_from_string
+from heightzeta.gf import FqField, PolyFq, all_polys, monic_polys, poly_from_string
 from heightzeta.oracle import (
     BudgetExceeded,
     count_canonical_heights,
@@ -13,7 +16,7 @@ from heightzeta.oracle import (
     enumeration_size,
     max_height_exponent_within_budget,
 )
-from heightzeta.places import BadPlace, validate_phi
+from heightzeta.places import BadPlace, canonical_height_exp, standard_height_exp, validate_phi
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -236,3 +239,56 @@ def test_fast_and_enumerate_agree_over_extension_fields(field, lin, quad, d, n):
             fast = count_region(phi, t_set, n, method="fast")
             slow = count_region(phi, t_set, n, method="enumerate")
             assert fast.counts == slow.counts, t_set
+
+
+def _reference_elements(field, n):
+    """(num, den) in the enumeration order, by a gcd test on every pair."""
+    for b in range(n + 1):
+        for den in monic_polys(field, b):
+            for num in all_polys(field, n):
+                if den.is_one() or num.gcd(den).is_one():
+                    yield num, den
+
+
+@pytest.mark.parametrize(
+    "field, n", [(F2, 4), (F3, 2), (F4, 2), (F5, 1), (F9, 1)], ids=lambda x: getattr(x, "q", x)
+)
+def test_element_stream_matches_the_pairwise_reference(field, n):
+    got = [(x.num, x.den) for x in enumerate_elements(field, n)]
+    assert got == list(_reference_elements(field, n))
+
+
+@settings(max_examples=60)
+@given(
+    q=st.sampled_from([2, 3, 5]),
+    coeffs=st.lists(st.integers(0, 4), max_size=4),
+    lead=st.integers(1, 4),
+    d=st.sampled_from([2, 3]),
+    size=st.integers(1, 4),
+    extra=st.integers(0, 2),
+)
+def test_enumerate_counts_equal_the_definitional_tally(q, coeffs, lead, d, size, extra):
+    field = FqField(q)
+    f = PolyFq(field, [c % q for c in coeffs] + [lead % q or 1])
+    try:
+        phi = validate_phi(f, d)
+    except ValueError:
+        assume(False)
+    n = min(size, {2: 4, 3: 2, 5: 1}[q])
+    m_max = d * n + extra % d
+    elements = list(enumerate_elements(field, n))
+    # every x with m <= m_max has standard height exponent <= m_max // d = n
+    heights = Counter(canonical_height_exp(x, phi) for x in elements)
+    expected = {m: c for m, c in heights.items() if m <= m_max}
+    assert count_canonical_heights(phi, m_max, method="enumerate").counts == expected
+    assert count_canonical_heights(phi, m_max, method="fast").counts == expected
+    bad = phi.bad_places
+    for r in range(len(bad) + 1):
+        for t_set in combinations(range(len(bad)), r):
+            # x is in D_T when exactly the bad places outside T divide its denominator
+            region = Counter(
+                standard_height_exp(x) for x in elements
+                if all((x.den % bp.pi).is_zero() != (i in t_set) for i, bp in enumerate(bad))
+            )
+            assert count_region(phi, t_set, n, method="enumerate").counts == dict(region)
+            assert count_region(phi, t_set, n, method="fast").counts == dict(region)
