@@ -244,34 +244,38 @@ def _log_tables(p: int, e: int, mod: tuple[int, ...]):
     return exp, log, zech
 
 
-def _fp_divmod(a, b, p: int):
-    """Quotient and remainder of ``a`` by ``b`` modulo ``p``, on int coefficient lists.
+def _fp_rem(a: list, b, p: int) -> list:
+    """Remainder of the int list ``a`` by ``b`` modulo ``p``: the one F_p division loop.
 
     Both are ascending and reduced mod p; ``b`` is nonzero with no trailing
     zeros.  A monic ``b`` may be divided modulo any integer p > 1; a leading
-    coefficient other than 1 is inverted, which needs p prime.  Returns
-    (quot, rem) as lists, ``rem`` without trailing zeros.  Coefficients are
-    reduced mod p only where one is read.
+    coefficient other than 1 is inverted, which needs p prime.  The division
+    runs in place: afterwards ``a[deg b:]`` holds the quotient, reduced mod p.
+    Returns the remainder as a new list without trailing zeros.  Coefficients
+    are reduced mod p only where one is read.
     """
     db = len(b) - 1
-    if len(a) <= db:
-        return [], list(a)
-    a = list(a)
     lead = b[-1]
     inv_lead = 1 if lead == 1 else pow(lead, p - 2, p)
-    quot = [0] * (len(a) - db)
     for k in range(len(a) - 1, db - 1, -1):
         c = a[k] % p
+        if c and inv_lead != 1:
+            c = c * inv_lead % p
+        a[k] = c
         if c:
-            if inv_lead != 1:
-                c = c * inv_lead % p
-            quot[k - db] = c
             for i in range(db):
                 a[k - db + i] -= c * b[i]
     rem = [c % p for c in a[:db]]
     while rem and not rem[-1]:
         rem.pop()
-    return quot, rem
+    return rem
+
+
+def _fp_divmod(a, b, p: int):
+    """(quot, rem) of ``a`` by ``b`` modulo ``p`` as int lists, by ``_fp_rem`` on a copy."""
+    a = list(a)
+    rem = _fp_rem(a, b, p)
+    return a[len(b) - 1:], rem
 
 
 class PolyFq:
@@ -386,6 +390,9 @@ class PolyFq:
         return divmod(self, other)[0]
 
     def __mod__(self, other: "PolyFq") -> "PolyFq":
+        F = self.field
+        if F.e == 1 and other.coeffs:
+            return PolyFq(F, _fp_rem(list(self.coeffs), other.coeffs, F.p))
         return divmod(self, other)[1]
 
     def monic(self) -> "PolyFq":
@@ -398,7 +405,7 @@ class PolyFq:
         if F.e == 1:
             a, b = self.coeffs, other.coeffs
             while b:
-                a, b = b, _fp_divmod(a, b, F.p)[1]
+                a, b = b, _fp_rem(list(a), b, F.p)
             return PolyFq(F, a).monic()
         a, b = self, other
         while not b.is_zero():
@@ -414,6 +421,11 @@ class PolyFq:
     def eval(self, x: int) -> int:
         F = self.field
         acc = 0
+        if F.e == 1:
+            p = F.p
+            for c in reversed(self.coeffs):
+                acc = (acc * x + c) % p
+            return acc
         for c in reversed(self.coeffs):
             acc = F.add(F.mul(acc, x), c)
         return acc

@@ -27,9 +27,22 @@ in the tests:
   degree a >= deg Q, so per-denominator tallies need only the unit count of
   F_q[t]/Q and the divisibility of Q by the bad places.  Both come from one
   multiplicative sieve per call over the monic irreducibles of degree <= n
-  (Euler's phi for F_q[t]), which finds the irreducibles itself; no
-  factorization, necklace formula or zeta identity enters.  This is still
-  counting from first principles, place by place.
+  (Euler's phi for F_q[t]; Rosen, *Number Theory in Function Fields*,
+  ch. 1), which finds the irreducibles itself; no factorization, necklace
+  formula or zeta identity enters.  This is still counting from first
+  principles, place by place.
+
+Both hot loops are digit walks (``_affine_codes``).  A polynomial's code,
+its coefficients in base q, is also a base-p number whose digits are the
+F_p coordinates of the coefficients, and adding polynomials adds these
+digits mod p.  Counting g through all its codes, constant digit fastest,
+changes g at each step by the element whose digits are 1 at positions
+0..K, K being where the step carries.  So for any F_p-linear map L, L(g)
+changes by L of that element, a digit list computed once per walk, and its
+code follows digit by digit.  The sieve takes L(g) = pi*g, the multiples of
+an irreducible; the enumerate walk takes L(num) = num mod den, the residue
+of every numerator.  Neither builds a polynomial per step, and prime and
+extension fields share the walk.
 
 Both strategies walk the monic denominators once, serially, in the order
 above, and add the tallies into one count dict; the strategy only decides
@@ -41,6 +54,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, zip_longest
 
 from . import gf
 from .gf import FqField, RatFuncFq, all_polys, monic_polys
@@ -94,6 +108,68 @@ def _check_method(method: str):
         raise ValueError(f"unknown counting method {method!r}")
 
 
+def _ruler(p: int, m: int) -> list[int]:
+    """Carry positions of a base-p counter run from 0 to p^m - 1.
+
+    Entry s - 1 is the p-adic valuation of s: the step to s turns the digits
+    below that position from p - 1 to 0 and raises the digit there by one.
+    """
+    seq: list[int] = []
+    for k in range(m):
+        seq = (seq + [k]) * (p - 1) + seq
+    return seq
+
+
+def _digits(field: FqField, coeffs, size: int) -> list[int]:
+    """Base-p digits of a coefficient list padded to ``size`` F_q codes, e digits each.
+
+    Their base-p value is the polynomial's code, and adding two polynomials
+    adds their digits mod p, one by one.
+    """
+    cs = list(coeffs) + [0] * (size - len(coeffs))
+    if field.e == 1:
+        return cs
+    p = field.p
+    return [c // p**s % p for c in cs for s in range(field.e)]
+
+
+def _counter_steps(p: int, images):
+    """Per carry position K: the nonzero digits of the image of the counter step.
+
+    A counter step carried through base-p position K = k*e + r adds to the
+    counted polynomial the element whose digits are 1 at positions 0..K.
+    ``images[K]`` lists the digits of a linear map's image of y^r*t^k (y^r
+    is the code p^r), so the step's image is the digitwise sum of images[0..K].
+    Each digit i with value w comes as (i, w, w*p^i, (w - p)*p^i): what the
+    code gains when the digit does not, or does, wrap past p - 1.
+    """
+    steps, acc = [], []
+    for image in images:
+        acc = [(a + b) % p for a, b in zip_longest(acc, image, fillvalue=0)]
+        steps.append([(i, w, w * p**i, (w - p) * p**i) for i, w in enumerate(acc) if w])
+    return steps
+
+
+def _affine_codes(p: int, digits: list[int], code: int, steps, carries):
+    """Yield ``code``, then the code after adding steps[K] for each K in ``carries``.
+
+    ``digits`` are the base-p digits of ``code`` and change in place; each
+    step adds digits mod p and moves the code by each changed digit's gain,
+    so no polynomial is built.
+    """
+    yield code
+    for k in carries:
+        for i, w, up, down in steps[k]:
+            d = digits[i] + w
+            if d < p:
+                code += up
+            else:
+                d -= p
+                code += down
+            digits[i] = d
+        yield code
+
+
 def _walk(field: FqField, n: int, pis):
     """The one element walk: yield (den, b, den_ords, nums) per monic den of degree b <= n.
 
@@ -103,21 +179,29 @@ def _walk(field: FqField, n: int, pis):
     +infinity for 0.  So every x with max(deg num, deg den) <= n comes once,
     in canonical form and in the enumeration order.  Each numerator's ords
     are found once per call and each denominator's once.  Coprimality takes
-    one gcd per residue class mod den, by gcd(num, den) = gcd(num mod den, den);
-    each numerator is then looked up by num mod den.  The table holds q^(n+1)
-    numerators, and its first q^b entries are the residues of degree < b.
+    one gcd per residue class mod den, by gcd(num, den) = gcd(num mod den, den).
+    Each numerator is then looked up by the code of num mod den: reduction
+    mod den is F_p-linear, so the codes of all q^(n+1) residues, in numerator
+    order, come from one counter walk whose steps add the precomputed digits
+    of (y^r t^k mod den); no numerator is divided.  The table's first q^b
+    entries are the residues of degree < b.
     """
+    q, p, e = field.q, field.p, field.e
     table = [(num, num.degree,
               tuple(num.ord_at(pi) for pi in pis) if num.coeffs else (math.inf,) * len(pis))
              for num in all_polys(field, n)]
+    carries = _ruler(p, (n + 1) * e)
     for b in range(n + 1):
         for den in monic_polys(field, b):
             den_ords = tuple(den.ord_at(pi) for pi in pis)
             if b == 0:
                 yield den, b, den_ords, table
                 continue
-            units = {r.coeffs for r, _, _ in table[: field.q**b] if r.gcd(den).is_one()}
-            yield den, b, den_ords, [e for e in table if (e[0] % den).coeffs in units]
+            units = [r.gcd(den).is_one() for r, _, _ in table[: q**b]]
+            images = [_digits(field, (gf.PolyFq(field, (0,) * k + (p**r,)) % den).coeffs, b)
+                      for k in range(n + 1) for r in range(e)]
+            codes = _affine_codes(p, [0] * (b * e), 0, _counter_steps(p, images), carries)
+            yield den, b, den_ords, [entry for entry, code in zip(table, codes) if units[code]]
 
 
 def enumerate_elements(field: FqField, n: int, override: bool = False):
@@ -149,31 +233,40 @@ def _sieve(field: FqField, n: int, bad_places):
     ``units[c]`` is #(F_q[t]/Q)^* and ``masks[c]`` has bit i set when bad
     place i divides Q, for the monic Q of degree b with code c: its low
     coefficients in base q, constant fastest, which is the walk order.
-    Every entry starts at q^b.  A monic of degree e whose entry still reads
-    q^e when e is reached has no irreducible factor of smaller degree, so it
+    Every entry starts at q^b.  A monic of degree b whose entry still reads
+    q^b when b is reached has no irreducible factor of smaller degree, so it
     is an irreducible pi; each multiple pi*g of degree <= n then has its
-    entry scaled by (1 - q^-e), exactly, and its mask bit set if pi is bad.
+    entry scaled by (1 - q^-b), exactly, and its mask bit set if pi is bad.
     By the time degree b is yielded its entries are final.
+
+    The multiples pi*g of degree b + j are visited as codes only, in the
+    counter order of g: the first is pi*t^j, whose code is pi's times q^j,
+    and each counter step of g adds the precomputed digits of pi times that
+    step (``_affine_codes``).  No product is multiplied out and no
+    polynomial object is built.
     """
-    q = field.q
+    q, p, e = field.q, field.p, field.e
     bits = {bp.pi.coeffs: 1 << i for i, bp in enumerate(bad_places)}
     units = [[q**b] * q**b for b in range(n + 1)]
     masks = [[0] * q**b for b in range(n + 1)]
+    carries = _ruler(p, max(n - 1, 0) * e)
     for b in range(n + 1):
         qb = q**b
         row_u, row_m = units[b], masks[b]
         # The walk proper: each denominator of degree b is visited here once.
-        found = [(pi, bits.get(pi.coeffs, 0))
-                 for pi, u in zip(monic_polys(field, b), row_u) if u == qb and b]
-        for j in range(n - b + 1 if found else 0):
-            row_uj, row_mj = units[b + j], masks[b + j]
-            # the multipliers g come from gf directly, not from the walk
-            for g in gf.monic_polys(field, j):
-                for pi, bit in found:
-                    cs = (pi * g).coeffs
-                    code = 0
-                    for c in cs[-2::-1]:
-                        code = code * q + c
+        found = [c for c, u in enumerate(row_u) if u == qb] if b else []
+        for c in found:
+            pi = [c // q**i % q for i in range(b)] + [1]
+            bit = bits.get(tuple(pi), 0)
+            # digits of y^r * pi for the e codes y^r = p^r; over a prime field just pi
+            scaled = [_digits(field, [field.mul(p**r, a) for a in pi], b + 1) for r in range(e)]
+            low = scaled[0][:-e]  # pi without its leading 1
+            steps = _counter_steps(p, [[0] * (k * e) + scaled[r]
+                                       for k in range(n - b) for r in range(e)])
+            for j in range(n - b + 1):
+                row_uj, row_mj = units[b + j], masks[b + j]
+                for code in _affine_codes(p, [0] * (j * e) + low, c * q**j, steps,
+                                          islice(carries, q**j - 1)):
                     row_uj[code] = row_uj[code] // qb * (qb - 1)
                     if bit:
                         row_mj[code] |= bit

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
 
-from .gf import FqField, PolyFq, _distinct_degree, _equal_degree_split, _fp_divmod, _is_prime, _power, _prime_divisors
+from .gf import FqField, PolyFq, _distinct_degree, _equal_degree_split, _fp_divmod, _fp_rem, _is_prime, _power, _prime_divisors
 
 _EQUAL_MODULUS_TOL = 1e-9
 
@@ -643,7 +643,7 @@ def _bezout(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
         q, r = _fp_divmod(r0, r1, p)
         r0, r1, s0, s1 = r1, r, s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
     inv = pow(r0[0], -1, p)
-    s = _fp_divmod([c * inv % p for c in s0], h, p)[1]
+    s = _fp_rem([c * inv % p for c in s0], h, p)
     t = _fp_divmod(_sub_mod([1], _mul_mod(s, g, p), p), h, p)[0]
     return s, t
 

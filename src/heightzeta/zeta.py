@@ -19,10 +19,11 @@ and reduces in Q(w).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gf import FqField, PolyFq
+from .gf import FqField, PolyFq, _prime_divisors
 from .places import BadPlace, PhiSpec, validate_phi
 from .qfuncs import QPoly, QRatFunc
 
@@ -63,11 +64,51 @@ class ProblemSpec:
                 raise ValueError(f"bad place needs 0 < v(f) < d, got v(f)={bp.vf}")
             if bp.f_v < 1:
                 raise ValueError("residue degree must be >= 1")
+        trace = self.frobenius_trace if self.genus == 1 else None
+        for k, count in sorted(Counter(bp.f_v for bp in self.bad_places).items()):
+            # Hasse-Weil gives k * place_count >= X*(X - 10) with X = q^(k/2), so once
+            # X >= 16k(count + 1) there are more than count places of degree k.
+            if (k // 2) * (self.q.bit_length() - 1) > (16 * k * (count + 1)).bit_length():
+                continue
+            available = place_count(self.q, k, trace)
+            if count > available:
+                field = (f"F_{self.q}(t) has only {available} finite places" if trace is None else
+                         f"the genus-1 field over F_{self.q} with trace {trace} has only {available} places")
+                raise ValueError(f"{count} bad places of degree {k}, but {field} of degree {k}")
 
     def phi(self) -> PhiSpec:
         if self.f is None or self.field is None:
             raise ValueError("no concrete map attached to this spec")
         return PhiSpec(d=self.d, f=self.f, bad_places=self.bad_places)
+
+
+def _moebius(n: int) -> int:
+    primes = _prime_divisors(n)
+    if any(n % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
+
+
+def place_count(q: int, k: int, trace: int | None = None) -> int:
+    """Number of places of degree k that can be bad.
+
+    With ``trace`` None (genus 0): the finite places of F_q(t), the monic
+    irreducibles of degree k.  With a trace a (genus 1): all places of the
+    function field of the elliptic curve with #E(F_q) = q + 1 - a.  Both by
+    Moebius inversion of N_j = sum over i | j of i * (places of degree i),
+    the point counts over F_(q^j): q^j on the affine line, and
+    q^j + 1 - s_j on the curve, where s_j = alpha^j + beta^j for the roots of
+    x^2 - a*x + q satisfies s_0 = 2, s_1 = a, s_j = a*s_(j-1) - q*s_(j-2)
+    (Rosen, *Number Theory in Function Fields*, ch. 5).
+    """
+    if trace is None:
+        points = [q**j for j in range(k + 1)]
+    else:
+        s = [2, trace]
+        for _ in range(2, k + 1):
+            s.append(trace * s[-1] - q * s[-2])
+        points = [q**j + 1 - s[j] for j in range(k + 1)]
+    return sum(_moebius(k // j) * points[j] for j in range(1, k + 1) if k % j == 0) // k
 
 
 def from_poly(field: FqField, f: PolyFq, d: int) -> ProblemSpec:

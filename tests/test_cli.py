@@ -363,6 +363,27 @@ def test_extension_field_size_is_checked_before_the_modulus(tmp_path, capsys):
     assert "2^16" in err and "base_modulus" not in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"q": 2, "genus": 0, "d": 2, "bad_places": [{"f_v": 1, "vf": 1}] * 3},
+         "3 bad places of degree 1, but F_2(t) has only 2 finite places of degree 1"),
+        ({"q": 2, "genus": 1, "d": 2, "frobenius_trace": 0, "bad_places": [{"f_v": 1, "vf": 1}] * 4},
+         "4 bad places of degree 1, but the genus-1 field over F_2 with trace 0 has only 3 places"),
+        ({"q": 7, "genus": 0, "d": 64, "bad_places": [{"f_v": 1, "vf": 1}] * 64},
+         "64 bad places of degree 1, but F_7(t) has only 7 finite places of degree 1"),
+    ],
+    ids=["g0-q2", "g1-q2", "g0-q7-64"],
+)
+def test_bad_places_that_no_field_has_exit_2_at_once(tmp_path, capsys, payload, message):
+    spec = _write(tmp_path, "s.json", payload)
+    for command in ("zeta", "verify"):
+        start = time.perf_counter()
+        assert main([command, "--spec", spec]) == 2
+        assert time.perf_counter() - start < 1
+        assert message in capsys.readouterr().err
+
+
 def test_spec_degree_at_limit_runs(tmp_path, capsys):
     payload = {**G0, "f": f"t^{MAX_TEXT_DEGREE}+t+1"}
     assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 0

@@ -486,6 +486,7 @@ def test_prime_field_division_kernels_properties(p, a, b, c, k):
         quot, rem = divmod(a, b)
         assert quot * b + rem == a
         assert rem.degree < b.degree
+        assert a % b == rem
     # gcd(a c, b c) = gcd(a, b) * monic(c), for c != 0
     if not c.is_zero():
         assert (a * c).gcd(b * c) == a.gcd(b) * c.monic()
@@ -493,3 +494,15 @@ def test_prime_field_division_kernels_properties(p, a, b, c, k):
     pi = PolyFq(field, (1, 1))  # t + 1, irreducible over every F_p
     if not a.is_zero():
         assert (a * pi.pow_(k)).ord_at(pi) == a.ord_at(pi) + k
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, FqField(7), F9], ids=lambda f: f.q)
+def test_eval_is_the_sum_of_the_terms(field):
+    rng = random.Random(field.q)
+    for _ in range(50):
+        f = PolyFq(field, [rng.randrange(field.q) for _ in range(rng.randrange(6))])
+        for x in field.elements():
+            total = 0
+            for i, c in enumerate(f.coeffs):
+                total = field.add(total, field.mul(c, field.pow_(x, i)))
+            assert f.eval(x) == total, (f, x)

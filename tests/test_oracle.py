@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import heightzeta.oracle as oracle
-from heightzeta.gf import FqField, PolyFq, all_polys, monic_polys, poly_from_string
+from heightzeta.gf import FqField, PolyFq, all_polys, irreducibles_up_to, monic_polys, poly_from_string
 from heightzeta.oracle import (
     BudgetExceeded,
     count_canonical_heights,
@@ -201,11 +202,7 @@ def _bad_places(field):
     return tuple(BadPlace(f_v=pi.degree, vf=1, pi=pi) for pi in pis)
 
 
-@pytest.mark.parametrize(
-    "field, n", [(F2, 8), (F3, 5), (F5, 4), (F4, 3), (F9, 3)], ids=lambda x: getattr(x, "q", x)
-)
-def test_sieve_matches_factorization(field, n):
-    bad = _bad_places(field)
+def _assert_sieve_matches_factorization(field, n, bad):
     degrees = []
     for b, units, masks in oracle._sieve(field, n, bad):
         dens = list(monic_polys(field, b))
@@ -216,6 +213,37 @@ def test_sieve_matches_factorization(field, n):
             assert mask == expected, den
         degrees.append(b)
     assert degrees == list(range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "field, n", [(F2, 8), (F3, 5), (F5, 4), (F4, 3), (F9, 3)], ids=lambda x: getattr(x, "q", x)
+)
+def test_sieve_matches_factorization(field, n):
+    _assert_sieve_matches_factorization(field, n, _bad_places(field))
+
+
+F7 = FqField(7)
+SIEVE_FIELDS = {2: (F2, 6), 3: (F3, 4), 4: (F4, 3), 5: (F5, 3), 7: (F7, 2), 9: (F9, 2)}
+
+
+@lru_cache(maxsize=None)
+def _places_of_degree_at_most_3(q):
+    return irreducibles_up_to(SIEVE_FIELDS[q][0], 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(sorted(SIEVE_FIELDS)),
+    size=st.integers(0, 6),
+    picks=st.sets(st.integers(0, 10**6), max_size=4),
+)
+def test_sieve_rows_match_factorization_for_any_bad_set(q, size, picks):
+    # a random set of places of degree 1-3, each checked against den's factorization
+    field, n_max = SIEVE_FIELDS[q]
+    irr = _places_of_degree_at_most_3(q)
+    pis = sorted({irr[i % len(irr)] for i in picks}, key=lambda pi: (pi.degree, pi.coeffs))
+    bad = tuple(BadPlace(f_v=pi.degree, vf=1, pi=pi) for pi in pis)
+    _assert_sieve_matches_factorization(field, min(size, n_max), bad)
 
 
 @pytest.mark.parametrize(

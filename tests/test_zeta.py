@@ -2,7 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from heightzeta.gf import FqField, irreducibles_up_to, poly_from_string
+from heightzeta.curves import affine_point_count, cubic_discriminant, frobenius_trace
+from heightzeta.gf import FqField, all_polys, irreducibles_up_to, poly_from_string
 from heightzeta.oracle import count_canonical_heights
 from heightzeta.places import BadPlace
 from heightzeta.qfuncs import QPoly, QRatFunc, series_coefficients
@@ -16,6 +17,7 @@ from heightzeta.zeta import (
     local_bad_factor,
     partial_zeta_DT,
     partial_zeta_DU,
+    place_count,
 )
 
 F2 = FqField(2)
@@ -230,7 +232,9 @@ def test_genus0_series_equals_oracle_counts_sample():
             assert series[m] == table[m]
 
 
-@pytest.mark.parametrize("field, n", [(F5, 6), (F2, 13)], ids=["q5-n6", "q2-n13"])
+@pytest.mark.parametrize(
+    "field, n", [(F5, 6), (F2, 13), (F2, 14), (F3, 9)], ids=["q5-n6", "q2-n13", "q2-n14", "q3-n9"]
+)
 def test_fast_oracle_equals_closed_form_at_scale(field, n):
     # two degree-1 bad places; both bounds are past the enumeration budget,
     # which measures the enumerate path, so the fast path needs the override
@@ -268,3 +272,47 @@ def test_bad_place_validation():
 
 def test_decomposition_check_l_anchor(l_anchor_spec):
     assert decomposition_check(l_anchor_spec).ok
+
+
+@pytest.mark.parametrize("field", [F2, F3, FqField(2, 2, (1, 1, 1)), F5], ids=lambda f: f.q)
+def test_genus0_place_counts_are_the_monic_irreducibles(field):
+    by_degree = {}
+    for pi in irreducibles_up_to(field, 5):
+        by_degree[pi.degree] = by_degree.get(pi.degree, 0) + 1
+    assert [place_count(field.q, k) for k in range(1, 6)] == [by_degree[k] for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("p, modulus", [(3, (1, 0, 1)), (5, (2, 0, 1))], ids=["q3", "q5"])
+def test_genus1_place_counts_match_points_over_the_quadratic_extension(p, modulus):
+    # N_1 and N_2 by counting points of y^2 = h over F_p and F_(p^2); the
+    # places of degree 1 and 2 are N_1 and (N_2 - N_1)/2
+    base, ext = FqField(p), FqField(p, 2, modulus)
+    curves = [h for h in all_polys(base, 3) if h.degree == 3 and cubic_discriminant(h)]
+    assert curves
+    for h in curves:
+        n1 = affine_point_count(h) + 1
+        # codes below p are the prime subfield in F_(p^2) as well
+        n2 = affine_point_count(ext.poly(h.coeffs)) + 1
+        a = frobenius_trace(p, n1 - 1)
+        assert place_count(p, 1, a) == n1
+        assert place_count(p, 2, a) == (n2 - n1) // 2
+
+
+def test_bad_places_beyond_the_place_count_are_refused():
+    def spec(q, genus, places, trace=None):
+        bad = tuple(BadPlace(f_v=k, vf=1) for k in places)
+        return ProblemSpec(q=q, genus=genus, d=2, bad_places=bad, frobenius_trace=trace)
+
+    spec(2, 0, [1, 1, 2])  # t, t + 1 and t^2 + t + 1
+    with pytest.raises(ValueError, match="3 bad places of degree 1.* only 2 finite places of degree 1"):
+        spec(2, 0, [1, 1, 1])
+    with pytest.raises(ValueError, match="2 bad places of degree 2.* only 1 finite places of degree 2"):
+        spec(2, 0, [2, 2])
+    # trace 0 over F_2: #E(F_2) = 3 and #E(F_4) = 9, so 3 places of degree 1 and 3 of degree 2
+    spec(2, 1, [1, 1, 1, 2, 2, 2], trace=0)
+    with pytest.raises(ValueError, match="4 bad places of degree 1.* trace 0 has only 3 places"):
+        spec(2, 1, [1, 1, 1, 1], trace=0)
+    with pytest.raises(ValueError, match="4 bad places of degree 2.* only 3 places of degree 2"):
+        spec(2, 1, [2] * 4, trace=0)
+    # a large degree is admitted by the Hasse-Weil bound without counting
+    spec(2, 1, [10**9] * 3, trace=2)
