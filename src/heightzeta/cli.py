@@ -299,14 +299,14 @@ def cmd_verify(args) -> int:
         raise InputError("max-coeff must be >= 0")
     spec = _read_spec(args.spec)
     checks = []
-    closed = assemble_zeta(spec)
+    dec = decomposition_check(spec)
 
     phi = _phi_for_oracle(spec)
     if phi is not None:
         budget_n = max_height_exponent_within_budget(spec.q)
         m_cap = spec.d * budget_n
         m_max = min(args.max_coeff, m_cap) if not args.budget_override else args.max_coeff
-        series = series_coefficients(closed.combined, m_max)
+        series = series_coefficients(dec.assembled, m_max)
         table = count_canonical_heights(
             phi, m_max, override=args.budget_override
         )
@@ -324,10 +324,9 @@ def cmd_verify(args) -> int:
             }
         )
 
-    dec = decomposition_check(spec)
     checks.append({"name": "decomposition", "pass": dec.ok})
 
-    report = build_report(closed.combined, spec.q, spec.d)
+    report = build_report(dec.assembled, spec.q, spec.d)
     rc = remainder_check(report, max(args.max_coeff, 40))
     checks.append(
         {

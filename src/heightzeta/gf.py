@@ -439,7 +439,7 @@ class PolyFq:
         return PolyFq(F, out)
 
     def ord_at(self, pi: "PolyFq") -> int:
-        """Multiplicity of the irreducible pi in self (0 for the zero polynomial caller to handle)."""
+        """Multiplicity of the irreducible pi in self; raises ValueError for the zero polynomial."""
         if self.is_zero():
             raise ValueError("ord_at undefined for the zero polynomial")
         if pi.degree < 1:
@@ -761,25 +761,27 @@ def poly_from_string(field: FqField, text: str) -> PolyFq:
             raise ValueError(f"malformed polynomial {text!r}")
         terms.append((sign, body))
         i = j
+
+    def number(digits: str) -> int:
+        # int() would also take underscores, whitespace and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"malformed polynomial {text!r}")
+        return int(digits)
+
     coeffs: dict[int, int] = {}
     for sign, body in terms:
-        try:
-            if "t" in body:
-                head, _, tail = body.partition("t")
-                coeff = int(head) if head else 1
-                if tail.startswith("^"):
-                    power = int(tail[1:])
-                elif tail == "":
-                    power = 1
-                else:
-                    raise ValueError
+        if "t" in body:
+            head, _, tail = body.partition("t")
+            coeff = number(head) if head else 1
+            if tail.startswith("^"):
+                power = number(tail[1:])
+            elif tail == "":
+                power = 1
             else:
-                coeff = int(body)
-                power = 0
-        except ValueError:
-            raise ValueError(f"malformed polynomial {text!r}") from None
-        if power < 0:
-            raise ValueError(f"malformed polynomial {text!r}")
+                raise ValueError(f"malformed polynomial {text!r}")
+        else:
+            coeff = number(body)
+            power = 0
         coeffs[power] = coeffs.get(power, 0) + sign * coeff
     size = max(coeffs) + 1 if coeffs else 0
     if size > MAX_TEXT_DEGREE + 1:

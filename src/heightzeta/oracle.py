@@ -44,9 +44,12 @@ an irreducible; the enumerate walk takes L(num) = num mod den, the residue
 of every numerator.  Neither builds a polynomial per step, and prime and
 extension fields share the walk.
 
-Both strategies walk the monic denominators once, serially, in the order
-above, and add the tallies into one count dict; the strategy only decides
-how a denominator is tallied.
+Both strategies fill one tally, {(h, mask): #x}: h is the standard height
+exponent and bit i of mask is set when v(x) < 0 at bad place i.  An
+element's canonical height exponent m = d*h + sum of f_v*v(f) over the bad
+places with v(x) >= 0, and its region D_T is the one whose T is the
+complement of its mask, so both public counters are projections of the
+tally; the strategy only decides how the tally is filled.
 """
 
 from __future__ import annotations
@@ -101,11 +104,6 @@ def max_height_exponent_within_budget(q: int) -> int:
     while enumeration_size(q, n + 1) <= DEFAULT_BUDGET:
         n += 1
     return n
-
-
-def _check_method(method: str):
-    if method not in ("fast", "enumerate"):
-        raise ValueError(f"unknown counting method {method!r}")
 
 
 def _ruler(p: int, m: int) -> list[int]:
@@ -214,19 +212,6 @@ def enumerate_elements(field: FqField, n: int, override: bool = False):
             yield RatFuncFq.from_canonical(num, den)
 
 
-def _tally(field: FqField, n: int, bad_places) -> Counter:
-    """Count the elements by (h, nonneg), each measured by its own valuations.
-
-    h = max(deg num, deg den) and nonneg[i] is v(x) >= 0 at bad place i,
-    with v(x) = v(num) - v(den).
-    """
-    return Counter(
-        (max(a, b), tuple(i - j >= 0 for i, j in zip(num_ords, den_ords)))
-        for _, b, den_ords, nums in _walk(field, n, [bp.pi for bp in bad_places])
-        for _, a, num_ords in nums
-    )
-
-
 def _sieve(field: FqField, n: int, bad_places):
     """Yield (b, units, masks) per degree b <= n, walking each denominator once.
 
@@ -274,18 +259,6 @@ def _sieve(field: FqField, n: int, bad_places):
         yield b, row_u, row_m
 
 
-def _unit_sums(field: FqField, n: int, bad_places):
-    """Per degree b <= n: {mask: sum of #(F_q[t]/Q)^* over the monic Q of degree b}.
-
-    The keys appear in the order in which the walk first meets them.
-    """
-    for b, units, masks in _sieve(field, n, bad_places):
-        sums: dict[int, int] = {}
-        for u, mask in zip(units, masks):
-            sums[mask] = sums.get(mask, 0) + u
-        yield b, sums
-
-
 def _degree_class_counts(q: int, b: int, units: int, n: int):
     """Yield (h, count) for coprime numerators by standard height exponent.
 
@@ -303,6 +276,36 @@ def _degree_class_counts(q: int, b: int, units: int, n: int):
         yield a, units * (q - 1) * q ** (a - b)
 
 
+def _tally(field: FqField, n: int, bad_places, method: str, override: bool) -> Counter:
+    """Count every x with standard height exponent h <= n by (h, mask).
+
+    Bit i of mask is set when v(x) < 0 at bad place i.  ``fast`` sums the
+    sieve's unit counts per mask for each denominator degree: a numerator
+    coprime to Q has v(x) < 0 exactly at the bad places dividing Q.
+    ``enumerate`` measures each element by v(num) - v(den).
+    """
+    if method not in ("fast", "enumerate"):
+        raise ValueError(f"unknown counting method {method!r}")
+    _check_budget(field, n, override)
+    tally: Counter = Counter()
+    if method == "fast":
+        for b, units, masks in _sieve(field, n, bad_places):
+            sums: dict[int, int] = {}
+            for u, mask in zip(units, masks):
+                sums[mask] = sums.get(mask, 0) + u
+            for mask, u in sums.items():
+                for h, c in _degree_class_counts(field.q, b, u, n):
+                    tally[h, mask] += c
+    else:
+        bits = [1 << i for i in range(len(bad_places))]
+        for _, b, den_ords, nums in _walk(field, n, [bp.pi for bp in bad_places]):
+            tally.update(
+                (max(a, b), sum(bit for bit, i, j in zip(bits, num_ords, den_ords) if i < j))
+                for _, a, num_ords in nums
+            )
+    return tally
+
+
 def count_canonical_heights(
     phi: PhiSpec,
     m_max: int,
@@ -311,32 +314,17 @@ def count_canonical_heights(
 ) -> CountTable:
     """Exact counts a_m = #{x : canonical height = q^(m/d)} for m <= m_max.
 
-    Enumeration covers standard height exponents up to floor(m_max/d), which
-    suffices because m >= d*h always.
+    Tallies standard height exponents up to floor(m_max/d), which suffices
+    because m = d*h + sum of f_v*v(f) over the bad places with v(x) >= 0.
     """
-    field = phi.field
     d = phi.d
-    n = m_max // d
-    _check_method(method)
-    _check_budget(field, n, override)
+    weights = [bp.f_v * bp.vf for bp in phi.bad_places]
     counts: dict[int, int] = {}
-
-    def add(m: int, c: int):
+    for (h, mask), c in _tally(phi.field, m_max // d, phi.bad_places, method, override).items():
+        m = d * h + sum(w for i, w in enumerate(weights) if not mask >> i & 1)
         if m <= m_max:
             counts[m] = counts.get(m, 0) + c
-
-    weights = [bp.f_v * bp.vf for bp in phi.bad_places]
-    if method == "fast":
-        for b, sums in _unit_sums(field, n, phi.bad_places):
-            for mask, units in sums.items():
-                corr = sum(w for i, w in enumerate(weights) if not mask >> i & 1)
-                for h, c in _degree_class_counts(field.q, b, units, n):
-                    add(d * h + corr, c)
-    else:
-        # m = d*h + sum of f_v*v(f) over the bad places with v(x) >= 0
-        for (h, nonneg), c in _tally(field, n, phi.bad_places).items():
-            add(d * h + sum(w for w, keep in zip(weights, nonneg) if keep), c)
-    return CountTable(q=field.q, d=d, counts=counts, max_m=m_max)
+    return CountTable(q=phi.field.q, d=d, counts=counts, max_m=m_max)
 
 
 def count_region(
@@ -349,40 +337,21 @@ def count_region(
     """Standard-height histogram of the region D_T for T a set of bad indices.
 
     D_T requires v(x) >= 0 at the bad places indexed by T and v(x) < 0 at
-    the others.  ``fast`` uses that membership depends only on which bad
-    places divide the denominator; ``enumerate`` reads it off each element's
-    valuations.
+    the others: the tally's entries whose mask is the complement of T.
     """
-    field = phi.field
-    _check_method(method)
-    _check_budget(field, h_max, override)
     bad = phi.bad_places
     t_set = frozenset(t_set)
     stray = t_set - frozenset(range(len(bad)))
     if stray:
         raise ValueError(f"bad-place indices {sorted(stray, key=repr)} are not in range({len(bad)})")
-    counts: dict[int, int] = {}
-
-    def add(h: int, c: int):
-        counts[h] = counts.get(h, 0) + c
-
-    if method == "fast":
-        want = sum(1 << i for i in range(len(bad)) if i not in t_set)
-        for b, sums in _unit_sums(field, h_max, bad):
-            if want in sums:
-                for h, c in _degree_class_counts(field.q, b, sums[want], h_max):
-                    add(h, c)
-    else:
-        inside = tuple(i in t_set for i in range(len(bad)))
-        for (h, nonneg), c in _tally(field, h_max, bad).items():
-            if nonneg == inside:
-                add(h, c)
-    return CountTable(q=field.q, d=phi.d, counts=counts, max_m=h_max)
+    want = sum(1 << i for i in range(len(bad)) if i not in t_set)
+    tally = _tally(phi.field, h_max, bad, method, override)
+    counts = {h: c for (h, mask), c in tally.items() if mask == want}
+    return CountTable(q=phi.field.q, d=phi.d, counts=counts, max_m=h_max)
 
 
 def cumulative_count(phi: PhiSpec, k: int, override: bool = False, method: str = "fast") -> int:
     """N(B) for B = q^(k/d): number of x with canonical height at most B."""
     if k < 0:
         raise ValueError("bound exponent must be >= 0")
-    table = count_canonical_heights(phi, k, override=override, method=method)
-    return sum(v for m, v in table.counts.items() if m <= k)
+    return count_canonical_heights(phi, k, override=override, method=method).total()

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heightzeta.cli as cli
+import heightzeta.zeta as zeta
 from heightzeta.asymptotics import RemainderCheck
 from heightzeta.cli import load_spec, main, spec_to_json
 from heightzeta.gf import MAX_TEXT_DEGREE
@@ -132,12 +133,31 @@ def test_verify_identity_failure_exit_code(tmp_path, monkeypatch, capsys):
     zero = QRatFunc.zero()
 
     def broken(s):
-        return DecompositionResult(ok=False, assembled=zero, partial_sum=zero, difference=zero)
+        # verify reads Z from the result, so only the identity itself fails
+        assembled = assemble_zeta(s).combined
+        return DecompositionResult(ok=False, assembled=assembled, partial_sum=zero, difference=assembled)
 
     monkeypatch.setattr(cli, "decomposition_check", broken)
     assert main(["verify", "--spec", spec, "--max-coeff", "6", "--format", "json"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is False
+    assert {c["name"]: c["pass"] for c in payload["checks"]} == {
+        "series_vs_oracle": True, "decomposition": False, "remainder_decay": True}
+
+
+def test_verify_assembles_the_zeta_function_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return assemble_zeta(spec)
+
+    monkeypatch.setattr(zeta, "assemble_zeta", counted)
+    monkeypatch.setattr(cli, "assemble_zeta", counted)
+    for payload in (G0, INERT, SPLIT_CURVE):
+        calls.clear()
+        assert main(["verify", "--spec", _write(tmp_path, "s.json", payload), "--max-coeff", "8"]) == 0
+        assert len(calls) == 1
 
 
 def test_verify_names_the_first_failing_coefficient(tmp_path, monkeypatch, capsys):
@@ -261,6 +281,14 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert main(["curve", "--q", "5", "--h", "t^3+t", "--f", "t", "--d", "2"]) == 2
     assert main(["curve", "--q", "5", "--h", "t^3+3", "--f", "t^200+t+1", "--d", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["1_1t", "\u0663t", "t^1_0"])
+def test_polynomial_with_non_ascii_digits_or_underscores_exits_2(tmp_path, capsys, text):
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", {**G0, "f": text})]) == 2
+    assert main(["curve", "--q", "5", "--h", "t^3+1", "--f", text, "--d", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"malformed polynomial {text!r}") == 2
 
 
 def test_extension_field_spec_requires_modulus(tmp_path, capsys):

@@ -388,6 +388,13 @@ def test_poly_text_round_trip():
         poly_from_string(F5, "")
 
 
+@pytest.mark.parametrize("text", ["1_1t", "\u0663t", "t^1_0", "t^\uff13", "3\t"])
+def test_poly_text_takes_only_ascii_digits(text):
+    # int() reads each of these (as t, 3t, t^10, t^3 and 3)
+    with pytest.raises(ValueError, match="malformed polynomial"):
+        poly_from_string(F5, text)
+
+
 def test_monic_enumeration_order_is_deterministic():
     first = [poly_to_string(p) for p in monic_polys(F3, 2)]
     second = [poly_to_string(p) for p in monic_polys(F3, 2)]

@@ -125,33 +125,41 @@ def test_scaling_symmetry_divisibility():
             assert adjusted % (q - 1) == 0
 
 
-def test_region_counts_and_partition():
-    phi = validate_phi(F5.poly_t(), 2)
-    assert count_region(phi, {0}, 1).counts == {0: 5, 1: 100}
-    assert count_region(phi, set(), 1).counts == {1: 20}
-    # regions partition all elements of each height
+REGION_CASES = pytest.mark.parametrize(
+    "field, method",
+    [(F5, "fast"), (F5, "enumerate"), (F4, "fast"), (F4, "enumerate")],
+    ids=["F5-fast", "F5-enumerate", "F4-fast", "F4-enumerate"],
+)
+
+
+@REGION_CASES
+def test_region_counts_and_partition(field, method):
+    q = field.q
+    phi = validate_phi(field.poly_t(), 2)
+    # v_t(x) < 0 at height 1: x = a/t with a of degree <= 1 and a(0) != 0
+    assert count_region(phi, set(), 1, method=method).counts == {1: (q - 1) * q}
+    assert count_region(phi, {0}, 1, method=method).counts == {0: q, 1: q**3 - q - (q - 1) * q}
+    # regions partition all elements of each height: q^(2h+1) - q^(2h-1) of height h >= 1
     total = {}
     for t_set in [set(), {0}]:
-        for h, c in count_region(phi, t_set, 2).counts.items():
+        for h, c in count_region(phi, t_set, 2, method=method).counts.items():
             total[h] = total.get(h, 0) + c
-    assert total == {0: 5, 1: 120, 2: 3000}
-    fast = count_region(phi, {0}, 2, method="fast").counts
-    slow = count_region(phi, {0}, 2, method="enumerate").counts
-    assert fast == slow
+    assert total == {0: q, 1: q**3 - q, 2: q**5 - q**3}
 
 
-def test_region_shift_reconciliation():
+@REGION_CASES
+def test_region_shift_reconciliation(field, method):
     # canonical-height counts are the region histograms shifted by the
     # correction sum of the free places
-    field = F5
     phi = validate_phi(poly_from_string(field, "t^2+t"), 2)
+    assert len(phi.bad_places) == 2
     d = 2
     h_max = 2
-    canonical = count_canonical_heights(phi, d * h_max)
+    canonical = count_canonical_heights(phi, d * h_max, method=method)
     rebuilt = {}
     for t_set in [(), (0,), (1,), (0, 1)]:
         shift = sum(phi.bad_places[i].f_v * phi.bad_places[i].vf for i in t_set)
-        for h, c in count_region(phi, t_set, h_max).counts.items():
+        for h, c in count_region(phi, t_set, h_max, method=method).counts.items():
             m = d * h + shift
             rebuilt[m] = rebuilt.get(m, 0) + c
     for m in range(d * h_max + 1):
