@@ -84,6 +84,8 @@ def load_spec(data: dict) -> ProblemSpec:
         raise InputError("genus must be 0 or 1")
     if data.get("frobenius_trace") is not None:
         _require_int(data["frobenius_trace"], "frobenius_trace")
+        if data["genus"] == 0:  # from_poly would drop it
+            raise InputError("frobenius_trace applies to genus 1 only")
     for key in ("f", "h", "base_modulus"):
         if key in data and not isinstance(data[key], str):
             raise InputError(f"{key} must be a string, got {data[key]!r}")

@@ -12,15 +12,18 @@ in the tests:
 * ``enumerate``: visit every element once and measure it from the valuation
   definitions; the slow, assumption-free path.  The walk finds each part's
   data once per call rather than once per element: the degree and the
-  multiplicity of every bad place in each numerator of degree <= n, and in
-  each monic denominator.  An element num/den then has
-  v(x) = v(num) - v(den) at each bad place (v(0) = +infinity), which is
+  multiplicity of every bad place in each polynomial of degree <= n, which
+  serves numerators and monic denominators alike.  An element num/den then
+  has v(x) = v(num) - v(den) at each bad place (v(0) = +infinity), which is
   ``places.valuation`` on canonical form.  Coprimality is Euclid's first
-  step, gcd(num, den) = gcd(num mod den, den): one gcd per residue class
-  mod den, then a lookup of num mod den for each numerator.  It assumes
-  nothing about unit counts, the sieve or any numerator tally in closed
-  form; it does assume that canonical forms are the coprime pairs with a
-  monic denominator, and that the valuation of a product is the sum.
+  step, gcd(num, den) = gcd(num mod den, den): each denominator gets a
+  table of its unit residues, and each numerator is looked up there by
+  num mod den.  The table takes no gcd either: a residue c*m, m monic, is a
+  unit exactly when den mod m is a unit mod m, which m's table, built at
+  the lower degree deg m, answers.  It assumes nothing about unit counts,
+  the sieve or any numerator tally in closed form; it does assume that
+  canonical forms are the coprime pairs with a monic denominator, and that
+  the valuation of a product is the sum.
 * ``fast`` (default): walk denominators only.  For a fixed monic Q the
   coprime numerators of degree < deg Q are exactly the unit residues mod Q,
   and each residue class contributes (q-1)q^(a-deg Q) numerators of exact
@@ -40,9 +43,12 @@ changes g at each step by the element whose digits are 1 at positions
 0..K, K being where the step carries.  So for any F_p-linear map L, L(g)
 changes by L of that element, a digit list computed once per walk, and its
 code follows digit by digit.  The sieve takes L(g) = pi*g, the multiples of
-an irreducible; the enumerate walk takes L(num) = num mod den, the residue
-of every numerator.  Neither builds a polynomial per step, and prime and
-extension fields share the walk.
+an irreducible; the enumerate walk takes L(g) = g mod den, the residue of
+every numerator (and of every larger denominator, for the unit tables).
+Below deg den reduction is the identity, so a residue walk steps once per
+block of up to ``RESIDUE_BLOCK`` codes and fills the block at C speed.
+Neither builds a polynomial per step, and prime and extension fields share
+the walk.
 
 Both strategies fill one tally, {(h, mask): #x}: h is the standard height
 exponent and bit i of mask is set when v(x) < 0 at bad place i.  An
@@ -57,13 +63,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, zip_longest
+from functools import lru_cache
+from itertools import chain, compress, islice, repeat, zip_longest
+from operator import add, not_
 
 from . import gf
 from .gf import FqField, RatFuncFq, all_polys, monic_polys
 from .places import PhiSpec
 
 DEFAULT_BUDGET = 10**8
+RESIDUE_BLOCK = 64  # most residues a walk step of ``_residue_codes`` covers
+COLUMN_BYTES = 2**20  # most coprimality flags ``_unit_tables`` holds at once
 
 
 class BudgetExceeded(RuntimeError):
@@ -168,38 +178,135 @@ def _affine_codes(p: int, digits: list[int], code: int, steps, carries):
         yield code
 
 
-def _walk(field: FqField, n: int, pis):
-    """The one element walk: yield (den, b, den_ords, nums) per monic den of degree b <= n.
+def _code(field: FqField, f) -> int:
+    """A polynomial's code: its coefficient codes as base-q digits, constant first."""
+    q = field.q
+    return sum(c * q**i for i, c in enumerate(f.coeffs))
 
-    ``nums`` lists the numerators coprime to den, each as (num, deg num,
-    num_ords) in ascending code order, 0 included (degree -1) only when
-    den = 1; the ords are the multiplicities of ``pis`` in the part, with
-    +infinity for 0.  So every x with max(deg num, deg den) <= n comes once,
-    in canonical form and in the enumeration order.  Each numerator's ords
-    are found once per call and each denominator's once.  Coprimality takes
-    one gcd per residue class mod den, by gcd(num, den) = gcd(num mod den, den).
-    Each numerator is then looked up by the code of num mod den: reduction
-    mod den is F_p-linear, so the codes of all q^(n+1) residues, in numerator
-    order, come from one counter walk whose steps add the precomputed digits
-    of (y^r t^k mod den); no numerator is divided.  The table's first q^b
-    entries are the residues of degree < b.
+
+@lru_cache(maxsize=None)
+def _translations(p: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """``trans[s][x]`` is the code of x + s, added digitwise mod p, for codes s, x < p^j."""
+    trans = ((0,),)
+    for i in range(j):
+        w = p**i
+        trans = tuple(tuple(v + w * ((a + b) % p) for a in range(p) for v in row)
+                      for b in range(p) for row in trans)
+    return trans
+
+
+def _residue_codes(field: FqField, mod, start, size: int):
+    """Codes of (start + g) mod ``mod`` for g through the polynomials of degree < size.
+
+    g runs in code order.  Reduction mod ``mod`` is F_p-linear, so the codes
+    come from a counter walk (``_affine_codes``) whose steps add the
+    precomputed digits of y^r t^k mod ``mod``; nothing is divided per step.
+    The walk steps only through g's base-p digits from position j on: the
+    j lowest are below deg ``mod``, where reduction is the identity, so the
+    p^j codes under each step are that step's code with its low j digits
+    translated by every g_low (``_translations``), at C speed.
     """
-    q, p, e = field.q, field.p, field.e
-    table = [(num, num.degree,
-              tuple(num.ord_at(pi) for pi in pis) if num.coeffs else (math.inf,) * len(pis))
-             for num in all_polys(field, n)]
-    carries = _ruler(p, (n + 1) * e)
-    for b in range(n + 1):
-        for den in monic_polys(field, b):
-            den_ords = tuple(den.ord_at(pi) for pi in pis)
-            if b == 0:
-                yield den, b, den_ords, table
-                continue
-            units = [r.gcd(den).is_one() for r, _, _ in table[: q**b]]
-            images = [_digits(field, (gf.PolyFq(field, (0,) * k + (p**r,)) % den).coeffs, b)
-                      for k in range(n + 1) for r in range(e)]
-            codes = _affine_codes(p, [0] * (b * e), 0, _counter_steps(p, images), carries)
-            yield den, b, den_ords, [entry for entry, code in zip(table, codes) if units[code]]
+    p, e, b = field.p, field.e, mod.degree
+    if b == 0:
+        return repeat(0, field.q**size)  # mod 1 every residue is 0
+    # y^r t^k is its own residue below deg mod
+    images = [_digits(field, (0,) * k + (p**r,) if k < b
+                      else (gf.PolyFq(field, (0,) * k + (p**r,)) % mod).coeffs, b)
+              for k in range(size) for r in range(e)]
+    j = 0
+    while j < min(b, size) * e and p ** (j + 1) <= RESIDUE_BLOCK:
+        j += 1
+    low, trans = p**j, _translations(p, j)
+    rem = start % mod
+    codes = _affine_codes(p, _digits(field, rem.coeffs, b), _code(field, rem),
+                          _counter_steps(p, images[j:]), _ruler(p, size * e - j))
+    return chain.from_iterable(map(add, trans[c % low], repeat(c - c % low)) for c in codes)
+
+
+def _monic_ranks(field: FqField, n: int) -> list[int]:
+    """Per residue code r < q^n: 0 for r = 0, else 1 + the rank of monic(r).
+
+    Monics are ranked by degree, then code, so 1 has rank 0.  Each monic m
+    gives its rank to all its scalings c*m, c != 0.
+    """
+    q = field.q
+    ranks = [0] * q**n
+    rank = 0
+    for k in range(n):
+        for m in monic_polys(field, k):
+            rank += 1
+            for c in range(1, q):
+                ranks[_code(field, m.scale(c))] = rank
+    return ranks
+
+
+def _unit_tables(field: FqField, n: int):
+    """Yield (den, units) per monic den of degree b <= n, in walk order.
+
+    ``units[r]`` is 1 when the residue with code r < q^b is a unit mod den,
+    that is coprime to den, else 0; the zero residue is a unit only mod 1.
+    No gcd is taken: a nonzero residue r = c*m, m monic, is a unit exactly
+    when m is coprime to den, so when den mod m is a unit mod m (Euclid's
+    first step), and m's own table, yielded at the lower degree deg m, says
+    so.  Per degree b, one residue walk per monic m of degree < b reads m's
+    table at den mod m for a run of consecutive dens of degree b, as many as
+    ``COLUMN_BYTES`` allows for all m together; each den's answers then
+    spread over the residues c*m through ``_monic_ranks``.  Tables are kept,
+    one byte per residue, only for the monic m of degree < n, which later
+    denominators ask about.
+    """
+    q = field.q
+    ranks = _monic_ranks(field, n)
+    kept = [(field.poly_one(), b"\1")]  # (m, units of m), monic m in rank order
+    yield kept[0]
+    for b in range(1, n + 1):
+        lower, ranks_b, dens = kept[:], ranks[: q**b], monic_polys(field, b)
+        k = b  # a run is the q^k dens t^b + high*t^k + g, g of degree < k
+        while k and len(lower) * q**k > COLUMN_BYTES:
+            k -= 1
+        for high in range(q ** (b - k)):
+            start = gf.PolyFq(field, [0] * k + [high // q**i % q for i in range(b - k)] + [1])
+            # cols[i][j] is 1 when the i-th m is coprime to the j-th den of the run
+            cols = [bytes(map(units.__getitem__, _residue_codes(field, m, start, k)))
+                    for m, units in lower]
+            for den, row in zip(islice(dens, q**k), zip(*cols)):
+                flags = b"\0" + bytes(row)
+                units = bytes(map(flags.__getitem__, ranks_b))
+                if b < n:
+                    kept.append((den, units))
+                yield den, units
+
+
+def _valuations(field: FqField, n: int, pi) -> list:
+    """v_pi(num) for every numerator of degree <= n in code order, +infinity for 0.
+
+    v_pi(num) counts the powers pi^k dividing num, and pi^k | num exactly
+    when num mod pi^k has code 0 (``_residue_codes``).
+    """
+    zero = gf.PolyFq(field, ())
+    ords = [0] * field.q ** (n + 1)
+    power = pi
+    while power.degree <= n:
+        ords = list(map(add, ords, map(not_, _residue_codes(field, power, zero, n + 1))))
+        power = power * pi
+    ords[0] = math.inf
+    return ords
+
+
+def _walk(field: FqField, n: int):
+    """The one element walk: yield (den, selector) per monic den of degree <= n.
+
+    ``selector`` runs over the numerators of degree <= n in code order, 0
+    included, and is true exactly at those coprime to den.  So every x with
+    max(deg num, deg den) <= n comes once, in canonical form and in the
+    enumeration order.  A numerator is coprime to den exactly when num mod
+    den is a unit mod den (Euclid's first step), so the selector reads den's
+    unit table (``_unit_tables``) at the codes of num mod den
+    (``_residue_codes``); no numerator is divided and no gcd is taken.
+    """
+    zero = gf.PolyFq(field, ())
+    for den, units in _unit_tables(field, n):
+        yield den, map(units.__getitem__, _residue_codes(field, den, zero, n + 1))
 
 
 def enumerate_elements(field: FqField, n: int, override: bool = False):
@@ -207,8 +314,9 @@ def enumerate_elements(field: FqField, n: int, override: bool = False):
     if n < 0:
         raise ValueError("height exponent bound must be >= 0")
     _check_budget(field, n, override)
-    for den, _, _, nums in _walk(field, n, ()):
-        for num, _, _ in nums:
+    nums = list(all_polys(field, n))
+    for den, selector in _walk(field, n):
+        for num in compress(nums, selector):
             yield RatFuncFq.from_canonical(num, den)
 
 
@@ -282,7 +390,9 @@ def _tally(field: FqField, n: int, bad_places, method: str, override: bool) -> C
     Bit i of mask is set when v(x) < 0 at bad place i.  ``fast`` sums the
     sieve's unit counts per mask for each denominator degree: a numerator
     coprime to Q has v(x) < 0 exactly at the bad places dividing Q.
-    ``enumerate`` measures each element by v(num) - v(den).
+    ``enumerate`` sorts the parts of degree <= n into classes (degree, v at
+    each bad place), counts the coprime pairs per numerator and denominator
+    class, and measures each pair of classes by v(num) - v(den).
     """
     if method not in ("fast", "enumerate"):
         raise ValueError(f"unknown counting method {method!r}")
@@ -297,12 +407,25 @@ def _tally(field: FqField, n: int, bad_places, method: str, override: bool) -> C
                 for h, c in _degree_class_counts(field.q, b, u, n):
                     tally[h, mask] += c
     else:
+        q = field.q
         bits = [1 << i for i in range(len(bad_places))]
-        for _, b, den_ords, nums in _walk(field, n, [bp.pi for bp in bad_places]):
-            tally.update(
-                (max(a, b), sum(bit for bit, i, j in zip(bits, num_ords, den_ords) if i < j))
-                for _, a, num_ords in nums
-            )
+        # one class per (deg, v at each bad place) of the parts of degree <= n, in code order
+        degrees = [-1] + [a for a in range(n + 1) for _ in range((q - 1) * q**a)]
+        classes: dict = {}
+        class_ids = [classes.setdefault(key, len(classes)) for key in
+                     zip(degrees, *(_valuations(field, n, bp.pi) for bp in bad_places))]
+        keys = list(classes)
+        # per denominator class: how many coprime numerators fall in each class
+        pairs: dict[int, Counter] = {}
+        for den, selector in _walk(field, n):
+            pairs.setdefault(class_ids[_code(field, den)], Counter()).update(
+                compress(class_ids, selector))
+        for j, counter in pairs.items():
+            b, *den_ords = keys[j]
+            for i, c in counter.items():
+                a, *num_ords = keys[i]
+                mask = sum(bit for bit, u, v in zip(bits, num_ords, den_ords) if u < v)
+                tally[max(a, b), mask] += c
     return tally
 
 

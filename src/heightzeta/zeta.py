@@ -27,6 +27,11 @@ from .gf import FqField, PolyFq, _prime_divisors
 from .places import BadPlace, PhiSpec, validate_phi
 from .qfuncs import QPoly, QRatFunc
 
+# Largest map degree d a spec may carry.  The closed form has degree about d
+# times the bad-place degrees in w, and its algebra slows steeply with it:
+# with one bad place, verify takes 1.3-3.1 s at d = 128 and 13-31 s at d = 256.
+MAX_MAP_DEGREE = 128
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -52,6 +57,10 @@ class ProblemSpec:
             raise ValueError("genus must be 0 or 1")
         if self.d < 2:
             raise ValueError("map degree d must be >= 2")
+        if self.d > MAX_MAP_DEGREE:
+            raise ValueError(f"map degree d = {self.d} exceeds the supported maximum {MAX_MAP_DEGREE}")
+        if self.genus == 0 and self.frobenius_trace is not None:
+            raise ValueError("frobenius_trace applies to genus 1 only")
         if self.genus == 1:
             if self.frobenius_trace is None:
                 raise ValueError("genus 1 requires a Frobenius trace")
@@ -64,7 +73,7 @@ class ProblemSpec:
                 raise ValueError(f"bad place needs 0 < v(f) < d, got v(f)={bp.vf}")
             if bp.f_v < 1:
                 raise ValueError("residue degree must be >= 1")
-        trace = self.frobenius_trace if self.genus == 1 else None
+        trace = self.frobenius_trace
         for k, count in sorted(Counter(bp.f_v for bp in self.bad_places).items()):
             # Hasse-Weil gives k * place_count >= X*(X - 10) with X = q^(k/2), so once
             # X >= 16k(count + 1) there are more than count places of degree k.

@@ -412,6 +412,38 @@ def test_bad_places_that_no_field_has_exit_2_at_once(tmp_path, capsys, payload, 
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [{**G0, "d": 100000}, {**INERT, "d": 129}], ids=["g0", "g1"])
+def test_map_degree_above_the_cap_exits_2_at_once(tmp_path, capsys, payload):
+    spec = _write(tmp_path, "s.json", payload)
+    start = time.perf_counter()
+    assert main(["zeta", "--spec", spec]) == 2
+    assert main(["verify", "--spec", spec]) == 2
+    assert main(["curve", "--q", "5", "--h", "t^3+1", "--f", "t", "--d", str(payload["d"])]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.count(f"exceeds the supported maximum {zeta.MAX_MAP_DEGREE}") == 3
+
+
+def test_map_degree_at_the_cap_runs(tmp_path, capsys):
+    assert zeta.MAX_MAP_DEGREE == 128
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", {**G0, "d": 128}), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["combined"]["den"] == [1] + [0] * 127 + [-25]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"q": 5, "genus": 0, "d": 2, "bad_places": [{"f_v": 1, "vf": 1}], "frobenius_trace": 99},
+     {**G0, "frobenius_trace": 0}],
+    ids=["bad_places", "f"],
+)
+def test_genus0_spec_with_a_frobenius_trace_exits_2(tmp_path, capsys, payload):
+    spec = _write(tmp_path, "s.json", payload)
+    for command in ("zeta", "verify"):
+        assert main([command, "--spec", spec]) == 2
+        assert "frobenius_trace applies to genus 1 only" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="genus 1 only"):
+        replace(load_spec(G0), frobenius_trace=0)
+
+
 def test_spec_degree_at_limit_runs(tmp_path, capsys):
     payload = {**G0, "f": f"t^{MAX_TEXT_DEGREE}+t+1"}
     assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 0

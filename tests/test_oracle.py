@@ -3,7 +3,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import heightzeta.oracle as oracle
@@ -328,3 +328,27 @@ def test_enumerate_counts_equal_the_definitional_tally(q, coeffs, lead, d, size,
             )
             assert count_region(phi, t_set, n, method="enumerate").counts == dict(region)
             assert count_region(phi, t_set, n, method="fast").counts == dict(region)
+
+
+@settings(max_examples=60)
+@given(
+    field=st.sampled_from([F2, F3, F4, F5, F9]),
+    coeffs=st.lists(st.integers(0, 8), max_size=4),
+)
+@example(field=F9, coeffs=[5, 7, 1, 0])  # early in the degree-4 walk, which builds every column
+def test_unit_table_matches_gcd(field, coeffs):
+    # den = coeffs + [1]; its table is read at every residue r of degree < deg den, by code
+    den = PolyFq(field, [c % field.q for c in coeffs] + [1])
+    units = next(u for m, u in oracle._unit_tables(field, den.degree) if m == den)
+    residues = list(all_polys(field, den.degree - 1))
+    assert len(units) == len(residues) == field.q**den.degree
+    assert list(units) == [int(r.gcd(den).is_one()) for r in residues]
+
+
+@pytest.mark.parametrize("column_bytes", [1, 50])
+def test_unit_tables_do_not_depend_on_the_column_budget(monkeypatch, column_bytes):
+    # a small budget splits each degree's denominators into runs, down to one per run
+    cases = [(F3, 3), (F4, 3), (F5, 2)]
+    expected = [list(oracle._unit_tables(field, n)) for field, n in cases]
+    monkeypatch.setattr(oracle, "COLUMN_BYTES", column_bytes)
+    assert [list(oracle._unit_tables(field, n)) for field, n in cases] == expected
