@@ -38,7 +38,6 @@ from .qfuncs import (
     series_coefficients,
     split_principal_parts,
     unit_disk_poles,
-    with_laurent,
 )
 
 _N_MAX = 64
@@ -126,11 +125,9 @@ class AsymptoticReport:
     the largest 1/|root| = |c_n/c_0|^(1/n) over the irreducible factors
     c_0 + ... + c_n w^n of the remainder's denominator (each has all its
     roots on one circle), times 1 + 1e-9; 0.0 when the remainder is a
-    polynomial.
+    polynomial, as for every spec's closed form (only hand-built z get a float).
     """
 
-    q: int
-    d: int
     alpha_exponent: int
     normalized: QRatFunc
     pole_records: tuple[PoleRecord, ...]
@@ -140,9 +137,9 @@ class AsymptoticReport:
 
 
 def build_report(z: QRatFunc, q: int, d: int) -> AsymptoticReport:
-    """Locate strip poles, fill Laurent data, and split off the remainder."""
+    """Locate strip poles with their Laurent data, and split off the remainder."""
     e, zt = exponent_gcd_normalize(z)
-    records = [with_laurent(zt, rec) for rec in unit_disk_poles(zt, q, d, e)]
+    records = tuple(unit_disk_poles(zt, q, d, e))
     principal, remainder = split_principal_parts(zt, records)
     if remainder.den.degree == 0:
         decay = 0.0
@@ -156,11 +153,9 @@ def build_report(z: QRatFunc, q: int, d: int) -> AsymptoticReport:
         if decay >= 1.0:
             raise RuntimeError("remainder denominator has a root inside the closed unit disk")
     return AsymptoticReport(
-        q=q,
-        d=d,
         alpha_exponent=e,
         normalized=zt,
-        pole_records=tuple(records),
+        pole_records=records,
         principal=principal,
         remainder=remainder,
         decay_base=decay,

@@ -12,11 +12,13 @@ Problem specs are JSON objects with fields q, genus, d, and exactly one of
 "f" (a polynomial string over F_q[t]; genus 1 additionally needs "h") or
 "bad_places" (a list of {"f_v": int, "vf": int}); genus 1 via "bad_places"
 also needs "frobenius_trace".  "base_modulus" supplies the defining
-polynomial when q is a proper prime power.  Exact rationals are serialized
-as decimal-free "p/q" strings and coefficient arrays as integers; floats
-appear only in advisory numeric pole data.  Exit codes: 0 success, 2 input
-or validation error, 3 failed internal identity (including the
-mixed-modulus diagnostic).
+polynomial when q is a proper prime power.  A key a spec's kind never reads
+is refused: "h" or "frobenius_trace" in genus 0, "base_modulus" with a prime
+q; a genus-1 "h" must carry the declared trace.  Exact rationals are
+serialized as decimal-free "p/q" strings and coefficient arrays as integers;
+floats appear only in advisory numeric pole data.  Exit codes: 0 success, 2
+input or validation error, 3 failed internal identity (including the
+mixed-modulus diagnostic, which no spec's closed form reaches).
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def _field_from_spec(data: dict) -> FqField:
     q = data["q"]
     p, e = _prime_power(q)
     if e == 1:
+        if "base_modulus" in data:
+            raise InputError(f"base_modulus applies to prime-power q only; q = {q} is prime")
         return FqField(p)
     if q > MAX_EXTENSION_Q:
         raise InputError(f"q = {q} = {p}^{e} exceeds the supported extension-field size 2^16")
@@ -97,6 +101,8 @@ def load_spec(data: dict) -> ProblemSpec:
     has_bad = "bad_places" in data
     if has_f == has_bad:
         raise InputError("spec must contain exactly one of 'f' or 'bad_places'")
+    if "h" in data and genus != 1:
+        raise InputError("h applies to genus 1 only")
     field = _field_from_spec(data)
     if has_f:
         f = poly_from_string(field, data["f"])
@@ -108,12 +114,7 @@ def load_spec(data: dict) -> ProblemSpec:
 
         h = poly_from_string(field, data["h"])
         spec = build_genus1_spec(field, h, f, d)
-        declared = data.get("frobenius_trace")
-        if declared is not None and declared != spec.frobenius_trace:
-            raise InputError(
-                f"declared frobenius_trace {declared} contradicts the curve "
-                f"(computed {spec.frobenius_trace})"
-            )
+        _check_trace(data.get("frobenius_trace"), spec.frobenius_trace)
         return spec
     bad = []
     for entry in data["bad_places"]:
@@ -122,7 +123,7 @@ def load_spec(data: dict) -> ProblemSpec:
         _require_int(entry["f_v"], "f_v")
         _require_int(entry["vf"], "vf")
         bad.append(BadPlace(f_v=entry["f_v"], vf=entry["vf"]))
-    return ProblemSpec(
+    spec = ProblemSpec(
         q=data["q"],
         genus=genus,
         d=d,
@@ -130,6 +131,18 @@ def load_spec(data: dict) -> ProblemSpec:
         frobenius_trace=data.get("frobenius_trace"),
         field=field,
     )
+    if "h" in data:  # as `curve` emits it: the curve must have the declared trace
+        from .curves import curve_trace
+
+        _check_trace(spec.frobenius_trace, curve_trace(poly_from_string(field, data["h"])))
+    return spec
+
+
+def _check_trace(declared: int | None, computed: int):
+    if declared is not None and declared != computed:
+        raise InputError(
+            f"declared frobenius_trace {declared} contradicts the curve (computed {computed})"
+        )
 
 
 def _read_spec(path: str) -> ProblemSpec:
@@ -166,8 +179,6 @@ def _phi_for_oracle(spec: ProblemSpec):
         return None
     if spec.f is not None:
         return spec.phi()
-    if spec.field is None:
-        return None
     return realize_phi(spec.field, [(bp.f_v, bp.vf) for bp in spec.bad_places], spec.d)
 
 
@@ -231,8 +242,8 @@ def cmd_poles(args) -> int:
                 "min_poly": min_poly,
                 "order": rec.order,
                 "modulus": float(f"{rec.modulus:.12g}"),
-                "alpha_exponent": rec.alpha_exponent,
-                "alpha": f"{spec.q}^({rec.alpha_exponent}/{spec.d})",
+                "alpha_exponent": report.alpha_exponent,
+                "alpha": f"{spec.q}^({report.alpha_exponent}/{spec.d})",
                 "poles": [
                     [float(f"{re:.12g}"), float(f"{im:.12g}")] for re, im in rec.numeric_poles
                 ],
@@ -384,9 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, spec_required=True):
-        if spec_required:
-            sp.add_argument("--spec", required=True, help="path to a JSON problem spec")
+    def add_common(sp):
+        sp.add_argument("--spec", required=True, help="path to a JSON problem spec")
         sp.add_argument("--format", choices=("json", "text"), default="text")
 
     sp = sub.add_parser("zeta", help="print the closed-form zeta function")

@@ -84,22 +84,26 @@ def splitting_type(h: PolyFq, pi: PolyFq) -> SplittingType:
     return SplittingType("ramified", ((deg, 2),))
 
 
+def curve_trace(h: PolyFq) -> int:
+    """Frobenius trace of the smooth curve y^2 = h(x); refuses char 2 and a singular h."""
+    if h.field.p == 2:
+        raise ValueError("char 2 unsupported")
+    if cubic_discriminant(h) == 0:
+        raise ValueError("singular cubic: discriminant is zero")
+    return frobenius_trace(h.field.q, affine_point_count(h))
+
+
 def build_genus1_spec(field: FqField, h: PolyFq, f: PolyFq, d: int) -> ProblemSpec:
     """Problem spec for phi(z) = z^d + 1/f over K = F_q(t)(sqrt(h)).
 
     Bad places are the places of K above the irreducible factors of f, with
     v(f) = e * mult upstairs; any of them reaching v(f) >= d is rejected.
     """
-    if field.p == 2:
-        raise ValueError("char 2 unsupported")
     if f.is_zero() or f.is_constant():
         raise ValueError("f must be nonconstant")
     if d < 2:
         raise ValueError("map degree d must be >= 2")
-    if cubic_discriminant(h) == 0:
-        raise ValueError("singular cubic: discriminant is zero")
-    count = affine_point_count(h)
-    trace = frobenius_trace(field.q, count)
+    trace = curve_trace(h)
     bad: list[BadPlace] = []
     _, factors = f.factor()
     for pi, mult in factors:

@@ -69,7 +69,7 @@ class FqField:
     For e > 1 an irreducible monic modulus over F_p of degree e must be
     supplied (ascending coefficient tuple of ints, length e+1).  There is no
     built-in table of Conway polynomials; callers choose the modulus and it
-    is validated here.
+    is validated here.  A prime field takes none.
     """
 
     def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
@@ -85,7 +85,9 @@ class FqField:
         self.e = e
         self.q = p**e
         if e == 1:
-            self.modulus = (0, 1) if modulus is None else tuple(c % p for c in modulus)
+            if modulus is not None:
+                raise ValueError("a prime field takes no modulus")
+            self.modulus = (0, 1)
             return
         if modulus is None:
             raise ValueError("an explicit irreducible modulus is required for e > 1")

@@ -100,7 +100,7 @@ def enumeration_size(q: int, n: int) -> int:
     return q ** (2 * n + 1)
 
 
-def _check_budget(field: FqField, n: int, override: bool):
+def _check_budget(field: FqField, n: int, override: bool = False):
     size = enumeration_size(field.q, n)
     if size > DEFAULT_BUDGET and not override:
         raise BudgetExceeded(
@@ -309,11 +309,11 @@ def _walk(field: FqField, n: int):
         yield den, map(units.__getitem__, _residue_codes(field, den, zero, n + 1))
 
 
-def enumerate_elements(field: FqField, n: int, override: bool = False):
+def enumerate_elements(field: FqField, n: int):
     """Stream all x with standard height exponent <= n, each exactly once."""
     if n < 0:
         raise ValueError("height exponent bound must be >= 0")
-    _check_budget(field, n, override)
+    _check_budget(field, n)
     nums = list(all_polys(field, n))
     for den, selector in _walk(field, n):
         for num in compress(nums, selector):
@@ -384,7 +384,7 @@ def _degree_class_counts(q: int, b: int, units: int, n: int):
         yield a, units * (q - 1) * q ** (a - b)
 
 
-def _tally(field: FqField, n: int, bad_places, method: str, override: bool) -> Counter:
+def _tally(field: FqField, n: int, bad_places, method: str, override: bool = False) -> Counter:
     """Count every x with standard height exponent h <= n by (h, mask).
 
     Bit i of mask is set when v(x) < 0 at bad place i.  ``fast`` sums the
@@ -450,13 +450,7 @@ def count_canonical_heights(
     return CountTable(q=phi.field.q, d=d, counts=counts, max_m=m_max)
 
 
-def count_region(
-    phi: PhiSpec,
-    t_set,
-    h_max: int,
-    override: bool = False,
-    method: str = "fast",
-) -> CountTable:
+def count_region(phi: PhiSpec, t_set, h_max: int, method: str = "fast") -> CountTable:
     """Standard-height histogram of the region D_T for T a set of bad indices.
 
     D_T requires v(x) >= 0 at the bad places indexed by T and v(x) < 0 at
@@ -468,13 +462,13 @@ def count_region(
     if stray:
         raise ValueError(f"bad-place indices {sorted(stray, key=repr)} are not in range({len(bad)})")
     want = sum(1 << i for i in range(len(bad)) if i not in t_set)
-    tally = _tally(phi.field, h_max, bad, method, override)
+    tally = _tally(phi.field, h_max, bad, method)
     counts = {h: c for (h, mask), c in tally.items() if mask == want}
     return CountTable(q=phi.field.q, d=phi.d, counts=counts, max_m=h_max)
 
 
-def cumulative_count(phi: PhiSpec, k: int, override: bool = False, method: str = "fast") -> int:
+def cumulative_count(phi: PhiSpec, k: int) -> int:
     """N(B) for B = q^(k/d): number of x with canonical height at most B."""
     if k < 0:
         raise ValueError("bound exponent must be >= 0")
-    return count_canonical_heights(phi, k, override=override, method=method).total()
+    return count_canonical_heights(phi, k).total()

@@ -27,7 +27,7 @@ Aberth-Ehrlich iteration (_roots).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -845,18 +845,18 @@ def _power_sums(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 class PoleRecord:
     """Strip poles of one irreducible denominator factor, with Laurent data.
 
-    ``numeric_poles`` lists (Re a, Im a) for each root of ``factor``, sorted
-    by increasing imaginary part and aligned with ``numeric_roots``; they are
-    advisory floats, while ``laurent`` is exact.
+    ``factor`` has multiplicity ``order`` in the denominator; ``laurent``
+    holds its exact c_1..c_order from laurent_at_pole.  ``modulus`` and the
+    (Re a, Im a) per root in ``numeric_poles`` (sorted by Im a, aligned with
+    ``numeric_roots``) are advisory floats.
     """
 
     factor: QPoly
     order: int
     modulus: float
-    alpha_exponent: int
     numeric_poles: tuple[tuple[float, float], ...]
     numeric_roots: tuple[complex, ...]
-    laurent: tuple[NumberFieldElem, ...] = ()
+    laurent: tuple[NumberFieldElem, ...]
 
 
 def exponent_gcd_normalize(z: QRatFunc):
@@ -921,12 +921,13 @@ def _roots(coeffs, radius: float) -> list[complex]:
 
 
 def unit_disk_poles(z: QRatFunc, q: int, d: int, e: int) -> list[PoleRecord]:
-    """Pole records for denominator factors with root modulus <= 1.
+    """Complete pole records for the denominator factors with root modulus <= 1.
 
     z must be exponent-normalized (a function of wtilde = alpha^(-s) with
     alpha = q^(e/d)).  Retention is decided exactly: an irreducible factor
     with equal-modulus roots has modulus <= 1 iff |p(0)| <= |leading|.
-    Laurent slots are left empty; fill them with laurent_at_pole.
+    Each record carries its factor's laurent_at_pole data.  Only a
+    hand-built z can raise MixedModulusError; no spec's closed form does.
     """
     if z.den.eval(0) == 0:
         raise ValueError("denominator vanishes at 0")
@@ -958,25 +959,24 @@ def unit_disk_poles(z: QRatFunc, q: int, d: int, e: int) -> list[PoleRecord]:
                 factor=p,
                 order=mult,
                 modulus=modulus,
-                alpha_exponent=e,
                 numeric_poles=tuple(loc for loc, _ in located),
                 numeric_roots=tuple(r for _, r in located),
+                laurent=laurent_at_pole(z, p, mult),
             )
         )
     records.sort(key=lambda r: (r.modulus, r.factor.degree, r.factor.coeffs))
     return records
 
 
-def laurent_at_pole(z: QRatFunc, rec: PoleRecord) -> list[NumberFieldElem]:
-    """Exact Laurent coefficients c_1..c_N at the poles of one record.
+def laurent_at_pole(z: QRatFunc, p: QPoly, n_ord: int) -> tuple[NumberFieldElem, ...]:
+    """Exact Laurent coefficients c_1..c_N of z at the roots of p, a factor of order N.
 
-    Works in F = Q[u]/(factor): substitute wtilde = u*exp(-tau), so that the
-    denominator becomes tau^N times a unit series (N the record's order),
-    and divide the numerator's first N terms by that unit in one series
-    recurrence; the coefficient of tau^(-n) is c_n, valid simultaneously
-    for every root of the factor.
+    p is an irreducible factor of z's denominator with multiplicity N.
+    Works in F = Q[u]/(p): substitute wtilde = u*exp(-tau), so that the
+    denominator becomes tau^N times a unit series, and divide the
+    numerator's first N terms by that unit in one series recurrence; the
+    coefficient of tau^(-n) is c_n, valid simultaneously for every root of p.
     """
-    p, n_ord = rec.factor, rec.order
 
     def expand(qp: QPoly, terms: int) -> list[QPoly]:
         # qp(u * exp(-tau)) = sum_t tau^t * sum_j qp_j (-j)^t / t! * u^j
@@ -998,11 +998,7 @@ def laurent_at_pole(z: QRatFunc, rec: PoleRecord) -> list[NumberFieldElem]:
         for j in range(1, m + 1):
             acc = acc - unit[j] * quotient[m - j]
         quotient.append((inv0 * acc) % p)
-    return [NumberFieldElem(p, quotient[n_ord - n]) for n in range(1, n_ord + 1)]
-
-
-def with_laurent(z: QRatFunc, rec: PoleRecord) -> PoleRecord:
-    return replace(rec, laurent=tuple(laurent_at_pole(z, rec)))
+    return tuple(NumberFieldElem(p, quotient[n_ord - n]) for n in range(1, n_ord + 1))
 
 
 def orbit_contributions(rec: PoleRecord, m_max: int) -> list[Fraction]:
@@ -1020,8 +1016,6 @@ def orbit_contributions(rec: PoleRecord, m_max: int) -> list[Fraction]:
     p = rec.factor
     if p.coeffs[0] == 0:
         raise ValueError("factor vanishes at 0; u is not invertible")
-    if not rec.laurent:
-        raise ValueError("laurent coefficients not filled")
     _, a = _primitive(p.coeffs)
     sums = _power_sums(p.coeffs)
     sums_den = lcm(*[s.denominator for s in sums])
@@ -1059,8 +1053,10 @@ def split_principal_parts(z: QRatFunc, records: list[PoleRecord]) -> tuple[QRatF
     over the orbit, form the partial-fraction piece A/p^k of z (k the order):
     with z = num/(p^k * rest), A = num * rest^(-1) mod p^k.  Only the factor
     and the order are read, not the Laurent data.  The remainder has no
-    strip poles: its denominator is coprime to each retained factor, so its
-    Taylor coefficients decay geometrically.
+    strip poles: its denominator is coprime to each retained factor.  For a
+    spec's closed form every factor is retained (root moduli q^(-j/d),
+    q^(-1/(2d)) or 1), so the remainder is a polynomial; only a hand-built z
+    leaves a denominator, with roots outside the closed unit disk.
     """
     total = QRatFunc.zero()
     for rec in records:

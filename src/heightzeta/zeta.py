@@ -266,7 +266,6 @@ def partial_zeta_DT(spec: ProblemSpec, t_set) -> QRatFunc:
 class DecompositionResult:
     ok: bool
     assembled: QRatFunc
-    partial_sum: QRatFunc
     difference: QRatFunc
 
 
@@ -285,6 +284,4 @@ def decomposition_check(spec: ProblemSpec) -> DecompositionResult:
             total = total + w_shift * partial_zeta_DT(spec, t_set)
     combined = assemble_zeta(spec).combined
     diff = combined - total
-    return DecompositionResult(
-        ok=diff.is_zero(), assembled=combined, partial_sum=total, difference=diff
-    )
+    return DecompositionResult(ok=diff.is_zero(), assembled=combined, difference=diff)

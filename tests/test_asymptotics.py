@@ -1,7 +1,9 @@
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heightzeta.asymptotics import (
     bernoulli,
@@ -16,8 +18,9 @@ from heightzeta.asymptotics import (
     stirling_pochhammer_check,
 )
 from heightzeta.gf import FqField
-from heightzeta.qfuncs import QPoly, QRatFunc, series_coefficients
-from heightzeta.zeta import assemble_zeta, from_poly
+from heightzeta.places import BadPlace
+from heightzeta.qfuncs import QPoly, QRatFunc, qpoly_factor, series_coefficients
+from heightzeta.zeta import ProblemSpec, assemble_zeta, from_poly
 
 F5 = FqField(5)
 
@@ -251,3 +254,38 @@ def test_xl_anchor_report_and_remainder(xl_anchor_spec):
     report = build_report(assemble_zeta(spec).combined, spec.q, spec.d)
     rc = remainder_check(report, 30)
     assert rc.ok and rc.differences_match_remainder
+
+
+@st.composite
+def _valid_specs(draw):
+    """Genus-0 and genus-1 specs with small q, d <= 6 and at most 3 bad places.
+
+    Genus 1 takes a prime q, over which every trace in the Hasse range occurs
+    (Deuring); over F_8, for instance, no curve has trace 2.
+    """
+    genus = draw(st.sampled_from((0, 1)))
+    q = draw(st.sampled_from((2, 3, 5, 7) if genus else (2, 3, 4, 5, 7, 8, 9)))
+    d = draw(st.integers(2, 6))
+    places = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, d - 1)), max_size=3))
+    trace = None
+    if genus == 1:
+        bound = isqrt(4 * q)
+        trace = draw(st.integers(-bound, bound))
+    try:
+        return ProblemSpec(q=q, genus=genus, d=d, frobenius_trace=trace,
+                           bad_places=tuple(BadPlace(f_v=f_v, vf=vf) for f_v, vf in places))
+    except ValueError:  # more bad places of some degree than the field has
+        assume(False)
+
+
+@settings(max_examples=40)
+@given(spec=_valid_specs())
+def test_every_denominator_factor_is_a_pole_record_and_the_remainder_a_polynomial(spec):
+    # each root of Z's denominator in w has modulus q^(-j/d), q^(-1/(2d)) or 1,
+    # so no factor lies outside the closed unit disk
+    report = build_report(assemble_zeta(spec).combined, spec.q, spec.d)
+    _, factors = qpoly_factor(report.normalized.den)
+    assert sorted((p.coeffs, k) for p, k in factors) == sorted(
+        (rec.factor.coeffs, rec.order) for rec in report.pole_records)
+    assert report.remainder.den.degree == 0
+    assert report.decay_base == 0.0

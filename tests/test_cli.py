@@ -130,12 +130,11 @@ def test_verify_genus1(tmp_path, capsys):
 
 def test_verify_identity_failure_exit_code(tmp_path, monkeypatch, capsys):
     spec = _write(tmp_path, "s.json", G0)
-    zero = QRatFunc.zero()
 
     def broken(s):
         # verify reads Z from the result, so only the identity itself fails
         assembled = assemble_zeta(s).combined
-        return DecompositionResult(ok=False, assembled=assembled, partial_sum=zero, difference=assembled)
+        return DecompositionResult(ok=False, assembled=assembled, difference=assembled)
 
     monkeypatch.setattr(cli, "decomposition_check", broken)
     assert main(["verify", "--spec", spec, "--max-coeff", "6", "--format", "json"]) == 3
@@ -442,6 +441,25 @@ def test_genus0_spec_with_a_frobenius_trace_exits_2(tmp_path, capsys, payload):
         assert "frobenius_trace applies to genus 1 only" in capsys.readouterr().err
     with pytest.raises(ValueError, match="genus 1 only"):
         replace(load_spec(G0), frobenius_trace=0)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [({**G0, "h": "t^3+3"}, "h applies to genus 1 only"),
+     ({"q": 5, "genus": 0, "d": 2, "bad_places": [{"f_v": 1, "vf": 1}], "h": "t^3+3"},
+      "h applies to genus 1 only"),
+     ({**INERT, "h": "t^3+t"}, "declared frobenius_trace 0 contradicts the curve (computed 2)"),
+     ({**INERT, "h": "t^3"}, "singular cubic"),
+     ({**G0, "base_modulus": "t^2+2"}, "base_modulus applies to prime-power q only"),
+     ({**SPLIT_CURVE, "base_modulus": "t^2+2"}, "base_modulus applies to prime-power q only")],
+    ids=["h-genus0-f", "h-genus0-bad_places", "h-wrong-trace", "h-singular", "modulus-genus0",
+         "modulus-genus1"],
+)
+def test_spec_key_the_kind_does_not_read_exits_2(tmp_path, capsys, payload, message):
+    spec = _write(tmp_path, "s.json", payload)
+    for command in ("zeta", "verify"):
+        assert main([command, "--spec", spec]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_spec_degree_at_limit_runs(tmp_path, capsys):

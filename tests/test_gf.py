@@ -57,6 +57,8 @@ def test_bad_field_parameters():
         FqField(3, 2)  # missing modulus
     with pytest.raises(ValueError, match="reducible"):
         FqField(3, 2, (2, 0, 1))  # y^2 + 2 = (y+1)(y+2) over F_3
+    with pytest.raises(ValueError, match="takes no modulus"):
+        FqField(5, 1, (2, 1))
 
 
 @pytest.mark.parametrize(

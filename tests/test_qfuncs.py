@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,7 +28,6 @@ from heightzeta.qfuncs import (
     series_coefficients,
     split_principal_parts,
     unit_disk_poles,
-    with_laurent,
 )
 
 
@@ -241,16 +241,16 @@ def test_roots_of_cyclotomic_and_anchor_factors(d32_spec):
 
 
 def test_laurent_toy_cases():
-    recs = [with_laurent(TOY, r) for r in unit_disk_poles(TOY, 5, 2, 1)]
+    recs = unit_disk_poles(TOY, 5, 2, 1)
     assert recs[0].laurent[0].rep == QPoly((Fraction(4, 5),))
     z = R((1,), (1, -1))
-    recs = [with_laurent(z, r) for r in unit_disk_poles(z, 5, 2, 1)]
+    recs = unit_disk_poles(z, 5, 2, 1)
     assert recs[0].laurent[0].rep == QPoly((1,))
 
 
 def test_laurent_higher_order_pole():
     z = R((1,), (1, -10, 25))  # 1/(1-5w)^2
-    recs = [with_laurent(z, r) for r in unit_disk_poles(z, 5, 2, 1)]
+    recs = unit_disk_poles(z, 5, 2, 1)
     assert recs[0].order == 2
     assert [c.rep for c in recs[0].laurent] == [QPoly((1,)), QPoly((1,))]
     # predictions (m+1)5^m match the series exactly; remainder vanishes
@@ -269,7 +269,8 @@ def test_laurent_of_power_pole_matches_exponential_series(k):
     # (1-exp(-tau))/tau to k terms fixes the first k coefficients of its inverse
     unit = QPoly([Fraction((-1) ** j, math.factorial(j + 1)) for j in range(k)])
     expected = series_coefficients(QRatFunc(QPoly((1,)), unit.pow_(k)), k - 1)
-    laurent = laurent_at_pole(z, rec)
+    laurent = laurent_at_pole(z, rec.factor, rec.order)
+    assert laurent == rec.laurent
     for n in range(1, k + 1):
         assert laurent[n - 1] == NumberFieldElem.rational(rec.factor, expected[k - n])
 
@@ -281,7 +282,7 @@ def test_double_pole_on_quadratic_factor():
     z = QRatFunc(QPoly((1, 2)), den)
     e, zt = exponent_gcd_normalize(z)
     assert e == 1
-    recs = [with_laurent(zt, r) for r in unit_disk_poles(zt, 5, 2, 1)]
+    recs = unit_disk_poles(zt, 5, 2, 1)
     assert len(recs) == 1 and recs[0].order == 2 and recs[0].factor.degree == 2
     g = principal_part_remainder(zt, recs)
     a = series_coefficients(zt, 30)
@@ -291,7 +292,7 @@ def test_double_pole_on_quadratic_factor():
 
 
 def test_orbit_contribution_examples():
-    recs = [with_laurent(TOY, r) for r in unit_disk_poles(TOY, 5, 2, 1)]
+    recs = unit_disk_poles(TOY, 5, 2, 1)
     assert orbit_contribution(recs[0], 3) == 100
     # alternating contribution at the axis pole u0 = -1
     factor = QPoly((1, 1))
@@ -299,7 +300,6 @@ def test_orbit_contribution_examples():
         factor=factor,
         order=1,
         modulus=1.0,
-        alpha_exponent=1,
         numeric_poles=((0.0, 0.0),),
         numeric_roots=(complex(-1),),
         laurent=(NumberFieldElem(factor, QPoly((Fraction(-200, 3),))),),
@@ -326,7 +326,7 @@ def _pole_records(spec) -> tuple[PoleRecord, ...]:
     from heightzeta.zeta import assemble_zeta
 
     e, zt = exponent_gcd_normalize(assemble_zeta(spec).combined)
-    return tuple(with_laurent(zt, rec) for rec in unit_disk_poles(zt, spec.q, spec.d, e))
+    return tuple(unit_disk_poles(zt, spec.q, spec.d, e))
 
 
 @pytest.mark.parametrize(
@@ -342,18 +342,18 @@ def test_stepped_orbit_contributions_equal_the_per_m_reference(spec_name, reques
 
 
 def test_principal_part_remainder_examples():
-    recs = [with_laurent(TOY, r) for r in unit_disk_poles(TOY, 5, 2, 1)]
+    recs = unit_disk_poles(TOY, 5, 2, 1)
     g = principal_part_remainder(TOY, recs)
     assert g == R((Fraction(-4, 5), 1))
     z = R((1,), (1, -1))
-    recs = [with_laurent(z, r) for r in unit_disk_poles(z, 5, 2, 1)]
+    recs = unit_disk_poles(z, 5, 2, 1)
     assert principal_part_remainder(z, recs).is_zero()
 
 
 def test_principal_parts_read_no_laurent_data():
     # partial fractions use only each record's factor and order
     z = R((1, 3), (1, Fraction(-9, 2), Fraction(-5, 2)))  # (1+3w)/((1-5w)(1+w/2))
-    recs = unit_disk_poles(z, 5, 2, 1)
+    recs = [replace(r, laurent=()) for r in unit_disk_poles(z, 5, 2, 1)]
     assert len(recs) == 1 and recs[0].laurent == ()
     principal, remainder = split_principal_parts(z, recs)
     assert principal == R((Fraction(16, 11),), (1, -5))
@@ -363,7 +363,7 @@ def test_principal_parts_read_no_laurent_data():
 def test_series_splits_into_principal_parts_plus_remainder():
     # denominator with one retained and one discarded factor
     z = R((1, 3), (1, Fraction(-9, 2), Fraction(-5, 2)))  # (1+3w)/((1-5w)(1+w/2))
-    recs = [with_laurent(z, r) for r in unit_disk_poles(z, 5, 2, 1)]
+    recs = unit_disk_poles(z, 5, 2, 1)
     assert len(recs) == 1
     g = principal_part_remainder(z, recs)
     assert g.den.gcd(recs[0].factor).degree == 0
@@ -576,7 +576,6 @@ def test_stepped_orbit_contributions_on_random_fields(p, reps):
         factor=p,
         order=len(reps),
         modulus=_modulus(p.coeffs),
-        alpha_exponent=1,
         numeric_poles=(),
         numeric_roots=(),
         laurent=tuple(NumberFieldElem(p, rep) for rep in reps),
