@@ -40,7 +40,6 @@ from .places import (
     valuation,
 )
 from .qfuncs import (
-    MixedModulusError,
     NumberFieldElem,
     PoleRecord,
     QPoly,

@@ -7,15 +7,16 @@ The count of points with height up to B = q^(k/d) is predicted by
 
 and the error is O(1) because the per-coefficient differences a_m - p_m are
 the Taylor coefficients of the remainder (zeta minus all strip principal
-parts), whose denominator has all roots outside the closed unit disk.  So
-p_m is the m-th Taylor coefficient of the summed principal parts, and every
-main term is a prefix sum of that one rational series.  The summed
-principal parts come from partial fractions over Q; the trace formula above
-(orbit_contributions, stepping u^(-m) through every m in one pass) computes
-p_m independently from the Laurent data, as the check inside
-remainder_check.  All predictions are exact rationals; the only floats are
-the decay base, read off the exact root moduli of the remainder's
-denominator factors, and the advisory pole locations.
+parts).  Every root of the zeta denominator lies in the closed unit disk
+(unit_disk_poles refuses any other input), so every denominator factor is
+a strip pole and the remainder is a polynomial: a_m - p_m vanishes beyond
+its degree.  So p_m is the m-th Taylor coefficient of the summed principal
+parts, and every main term is a prefix sum of that one rational series.
+The summed principal parts come from partial fractions over Q; the trace
+formula above (orbit_contributions, stepping u^(-m) through every m in one
+pass) computes p_m independently from the Laurent data, as the check
+inside remainder_check.  Every prediction and every check is exact; the
+only floats are the displayed pole locations and moduli.
 
 Also here: Stirling and Bernoulli numbers with the identities that link them
 (the Laurent expansion of 1/(1 - e^(-x))^k in lemma51_check), each verifiable
@@ -34,7 +35,6 @@ from .qfuncs import (
     QRatFunc,
     exponent_gcd_normalize,
     orbit_contributions,
-    qpoly_factor,
     series_coefficients,
     split_principal_parts,
     unit_disk_poles,
@@ -120,12 +120,8 @@ class AsymptoticReport:
 
     normalized is the zeta function rewritten in wtilde = alpha^(-s) with
     alpha = q^(alpha_exponent/d); principal is the sum of all strip principal
-    parts, and remainder = normalized - principal; decay_base is a float
-    upper bound (< 1) for the geometric rate of the remainder coefficients:
-    the largest 1/|root| = |c_n/c_0|^(1/n) over the irreducible factors
-    c_0 + ... + c_n w^n of the remainder's denominator (each has all its
-    roots on one circle), times 1 + 1e-9; 0.0 when the remainder is a
-    polynomial, as for every spec's closed form (only hand-built z get a float).
+    parts, and remainder = normalized - principal, a polynomial kept as a
+    QRatFunc with denominator 1.
     """
 
     alpha_exponent: int
@@ -133,7 +129,6 @@ class AsymptoticReport:
     pole_records: tuple[PoleRecord, ...]
     principal: QRatFunc
     remainder: QRatFunc
-    decay_base: float
 
 
 def build_report(z: QRatFunc, q: int, d: int) -> AsymptoticReport:
@@ -141,24 +136,12 @@ def build_report(z: QRatFunc, q: int, d: int) -> AsymptoticReport:
     e, zt = exponent_gcd_normalize(z)
     records = tuple(unit_disk_poles(zt, q, d, e))
     principal, remainder = split_principal_parts(zt, records)
-    if remainder.den.degree == 0:
-        decay = 0.0
-    else:
-        # every factor passed unit_disk_poles' equal-modulus guard, so its
-        # roots all have modulus |c_0/c_n|^(1/n)
-        _, factors = qpoly_factor(remainder.den)
-        decay = max(
-            float(abs(p.leading() / p.coeffs[0])) ** (1.0 / p.degree) for p, _ in factors
-        ) * (1 + 1e-9)
-        if decay >= 1.0:
-            raise RuntimeError("remainder denominator has a root inside the closed unit disk")
     return AsymptoticReport(
         alpha_exponent=e,
         normalized=zt,
         pole_records=records,
         principal=principal,
         remainder=remainder,
-        decay_base=decay,
     )
 
 
@@ -201,59 +184,25 @@ def main_term(report: AsymptoticReport, k: int) -> Fraction:
 class RemainderCheck:
     ok: bool
     differences_match_remainder: bool
-    envelope_constant: float
     max_abs_difference: Fraction
-    decay_base: float
     first_failure: int | None = None
 
 
 def remainder_check(report: AsymptoticReport, m_max: int) -> RemainderCheck:
-    """Certify that a_m - p_m equals the remainder coefficients and decays.
+    """Certify exactly that a_m - p_m is the remainder's m-th coefficient.
 
-    The differences are computed exactly; the envelope |a_m - p_m| <=
-    C * decay_base^m is calibrated on the first half of the range and must
-    hold on the second half (a polynomial remainder must vanish outright
-    beyond its degree).
+    Two checks for every m <= m_max: a_m - p_m equals the remainder's Taylor
+    coefficient, and it vanishes beyond the remainder's degree.
     """
     a = series_coefficients(report.normalized, m_max)
     g = series_coefficients(report.remainder, m_max)
     p = predicted_coefficients(report, m_max)
-    diffs = []
-    match = True
-    first_failure = None
-    for m in range(m_max + 1):
-        delta = a[m] - p[m]
-        diffs.append(delta)
-        if delta != g[m] and first_failure is None:
-            match = False
-            first_failure = m
-    max_abs = max((abs(d) for d in diffs), default=Fraction(0))
-    r = report.decay_base
-    ok = match
-    if r == 0.0:
-        cutoff = report.remainder.num.degree
-        envelope = float(max_abs)
-        late = next((m for m in range(cutoff + 1, m_max + 1) if diffs[m] != 0), None)
-        if late is not None:
-            ok = False
-            if first_failure is None:
-                first_failure = late
-    else:
-        rf = Fraction(r)
-        half = m_max // 2
-        env = max(abs(d) / rf**m for m, d in enumerate(diffs[: half + 1]))
-        for m in range(half + 1, m_max + 1):
-            if abs(diffs[m]) > env * rf**m:
-                ok = False
-                if first_failure is None:
-                    first_failure = m
-                break
-        envelope = float(env)
+    diffs = [a_m - p_m for a_m, p_m in zip(a, p)]
+    mismatch = next((m for m in range(m_max + 1) if diffs[m] != g[m]), None)
+    late = next((m for m in range(report.remainder.num.degree + 1, m_max + 1) if diffs[m]), None)
     return RemainderCheck(
-        ok=ok,
-        differences_match_remainder=match,
-        envelope_constant=envelope,
-        max_abs_difference=max_abs,
-        decay_base=r,
-        first_failure=first_failure,
+        ok=mismatch is None and late is None,
+        differences_match_remainder=mismatch is None,
+        max_abs_difference=max((abs(d) for d in diffs), default=Fraction(0)),
+        first_failure=late if mismatch is None else mismatch,
     )

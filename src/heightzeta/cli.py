@@ -16,15 +16,17 @@ polynomial when q is a proper prime power.  A key a spec's kind never reads
 is refused: "h" or "frobenius_trace" in genus 0, "base_modulus" with a prime
 q; a genus-1 "h" must carry the declared trace.  Exact rationals are
 serialized as decimal-free "p/q" strings and coefficient arrays as integers;
-floats appear only in advisory numeric pole data.  Exit codes: 0 success, 2
-input or validation error, 3 failed internal identity (including the
-mixed-modulus diagnostic, which no spec's closed form reaches).
+floats appear only in displayed pole data (moduli and locations).  Exit
+codes: 0 success, 2 input or validation error, 3 failed internal identity,
+141 (the shell's status for SIGPIPE) when the reader closes standard
+output early, as `| head` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import accumulate
 
@@ -32,12 +34,13 @@ from .asymptotics import build_report, main_terms, remainder_check
 from .gf import MAX_EXTENSION_Q, MAX_Q, FqField, _prime_divisors, poly_from_string, poly_to_string
 from .oracle import BudgetExceeded, count_canonical_heights, max_height_exponent_within_budget
 from .places import BadPlace, realize_phi
-from .qfuncs import MixedModulusError, QRatFunc, poly_str, series_coefficients
+from .qfuncs import QRatFunc, poly_str, series_coefficients
 from .zeta import ProblemSpec, assemble_zeta, decomposition_check, from_poly
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IDENTITY = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class InputError(ValueError):
@@ -346,8 +349,6 @@ def cmd_verify(args) -> int:
             "name": "remainder_decay",
             "pass": rc.ok,
             "differences_match_remainder": rc.differences_match_remainder,
-            "decay_base": float(f"{rc.decay_base:.12g}"),
-            "envelope_constant": float(f"{rc.envelope_constant:.12g}"),
             "first_failure": rc.first_failure,
         }
     )
@@ -437,9 +438,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MixedModulusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (InputError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

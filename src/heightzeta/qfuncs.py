@@ -18,10 +18,12 @@ of (log alpha)^(-n) (s-a)^(-n), which keeps all data algebraic.  The
 Laurent data feeds the pole display and the trace check; the principal parts
 themselves are read off the denominator factorization alone.  The trace
 check steps u^(-m) through m = 0, 1, ... at O(deg p) cost per step
-(orbit_contributions).  Pole locations are advisory floats: the real part
-comes from the exact modulus |p(0)/lead(p)|^(1/deg p), shared by the whole
-orbit, and the imaginary part from the argument of a root found by an
-Aberth-Ehrlich iteration (_roots).
+(orbit_contributions).  Every decision is exact: a factor is a strip pole
+unless |p(0)| > |lead(p)|, which unit_disk_poles refuses (no spec's closed
+form has one), and records are ordered by comparing the exact moduli
+|p(0)/lead(p)|^(1/deg p) through integer powers.  Floats are for display
+only: a pole's real part comes from that modulus, and its imaginary part
+from the argument of a root found by an Aberth-Ehrlich iteration (_roots).
 """
 
 from __future__ import annotations
@@ -29,18 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
 
 from .gf import FqField, PolyFq, _distinct_degree, _equal_degree_split, _fp_divmod, _fp_rem, _is_prime, _power, _prime_divisors
-
-_EQUAL_MODULUS_TOL = 1e-9
-
-
-class MixedModulusError(ValueError):
-    """An irreducible denominator factor has roots of different moduli."""
-
 
 class QPoly:
     """Dense polynomial over Q: ascending Fraction tuple, no trailing zeros."""
@@ -848,7 +843,11 @@ class PoleRecord:
     ``factor`` has multiplicity ``order`` in the denominator; ``laurent``
     holds its exact c_1..c_order from laurent_at_pole.  ``modulus`` and the
     (Re a, Im a) per root in ``numeric_poles`` (sorted by Im a, aligned with
-    ``numeric_roots``) are advisory floats.
+    ``numeric_roots``) are floats for display only.  ``modulus`` is
+    |p(0)/leading(p)|^(1/deg p), the geometric mean of the roots' moduli:
+    the common modulus for every spec's factor, whose roots lie on one
+    circle, and for a hand-built factor with roots of different moduli the
+    mean, which then also sets every Re a.
     """
 
     factor: QPoly
@@ -920,14 +919,30 @@ def _roots(coeffs, radius: float) -> list[complex]:
     return [radius * y for y in ys]
 
 
+def _by_modulus(a: PoleRecord, b: PoleRecord) -> int:
+    """Order records by exact modulus |c_0/c_k|^(1/k), then by (degree, coeffs).
+
+    With r_a = |c_0/c_k| of a's degree-k_a factor (likewise r_b),
+    r_a^(1/k_a) < r_b^(1/k_b) exactly when r_a^k_b < r_b^k_a.
+    """
+    pa, pb = a.factor, b.factor
+    ra = abs(pa.coeffs[0] / pa.leading()) ** pb.degree
+    rb = abs(pb.coeffs[0] / pb.leading()) ** pa.degree
+    if ra != rb:
+        return -1 if ra < rb else 1
+    ka, kb = (pa.degree, pa.coeffs), (pb.degree, pb.coeffs)
+    return (ka > kb) - (ka < kb)
+
+
 def unit_disk_poles(z: QRatFunc, q: int, d: int, e: int) -> list[PoleRecord]:
-    """Complete pole records for the denominator factors with root modulus <= 1.
+    """Complete pole records for the denominator factors, sorted by exact modulus.
 
     z must be exponent-normalized (a function of wtilde = alpha^(-s) with
-    alpha = q^(e/d)).  Retention is decided exactly: an irreducible factor
-    with equal-modulus roots has modulus <= 1 iff |p(0)| <= |leading|.
-    Each record carries its factor's laurent_at_pole data.  Only a
-    hand-built z can raise MixedModulusError; no spec's closed form does.
+    alpha = q^(e/d)).  Every root of the denominator must lie in the closed
+    unit disk, as it does for every spec's closed form (root moduli
+    q^(-j/d), q^(-1/(2d)) or 1): a factor p with |p(0)| > |leading(p)|,
+    whose roots have product of moduli > 1, raises ValueError.  Each record
+    carries its factor's laurent_at_pole data.
     """
     if z.den.eval(0) == 0:
         raise ValueError("denominator vanishes at 0")
@@ -935,21 +950,17 @@ def unit_disk_poles(z: QRatFunc, q: int, d: int, e: int) -> list[PoleRecord]:
     _, factors = qpoly_factor(z.den)
     records = []
     for p, mult in factors:
-        deg = p.degree
-        c0 = p.coeffs[0]
-        ck = p.leading()
-        modulus = float(abs(Fraction(c0, ck))) ** (1.0 / deg)
+        c0, ck = p.coeffs[0], p.leading()
+        if abs(c0.numerator * ck.denominator) > abs(ck.numerator * c0.denominator):
+            raise ValueError(
+                f"denominator factor {poly_str(p)} has a root outside the closed unit disk; "
+                "every root must lie in |w| <= 1"
+            )
+        modulus = float(abs(Fraction(c0, ck))) ** (1.0 / p.degree)
         roots = [
             complex(r.real, 0.0) if abs(r.imag) <= 1e-12 * abs(r) else r
             for r in _roots(p.coeffs, modulus)
         ]
-        for r in roots:
-            if abs(abs(r) - modulus) > _EQUAL_MODULUS_TOL * max(1.0, modulus):
-                raise MixedModulusError(
-                    "mixed-modulus factor: exact orbit summation unavailable"
-                )
-        if abs(c0.numerator * ck.denominator) > abs(ck.numerator * c0.denominator):
-            continue  # modulus > 1: pole has Re(a) < 0
         located = sorted(
             ((_strip_location(r, modulus, log_alpha), r) for r in roots),
             key=lambda t: (t[0][1], t[0][0]),
@@ -964,7 +975,7 @@ def unit_disk_poles(z: QRatFunc, q: int, d: int, e: int) -> list[PoleRecord]:
                 laurent=laurent_at_pole(z, p, mult),
             )
         )
-    records.sort(key=lambda r: (r.modulus, r.factor.degree, r.factor.coeffs))
+    records.sort(key=cmp_to_key(_by_modulus))
     return records
 
 
@@ -1053,10 +1064,9 @@ def split_principal_parts(z: QRatFunc, records: list[PoleRecord]) -> tuple[QRatF
     over the orbit, form the partial-fraction piece A/p^k of z (k the order):
     with z = num/(p^k * rest), A = num * rest^(-1) mod p^k.  Only the factor
     and the order are read, not the Laurent data.  The remainder has no
-    strip poles: its denominator is coprime to each retained factor.  For a
-    spec's closed form every factor is retained (root moduli q^(-j/d),
-    q^(-1/(2d)) or 1), so the remainder is a polynomial; only a hand-built z
-    leaves a denominator, with roots outside the closed unit disk.
+    strip poles: its denominator is coprime to each retained factor.  With
+    the records of unit_disk_poles every factor is retained, so the
+    remainder is a polynomial.
     """
     total = QRatFunc.zero()
     for rec in records:

@@ -68,6 +68,10 @@ class ProblemSpec:
                 raise ValueError(
                     f"trace {self.frobenius_trace} violates the Hasse bound for q={self.q}"
                 )
+            if not _trace_realizable(self.q, self.frobenius_trace):
+                raise ValueError(
+                    f"no elliptic curve over F_{self.q} has trace {self.frobenius_trace}"
+                )
         for bp in self.bad_places:
             if not (0 < bp.vf < self.d):
                 raise ValueError(f"bad place needs 0 < v(f) < d, got v(f)={bp.vf}")
@@ -89,6 +93,26 @@ class ProblemSpec:
         if self.f is None or self.field is None:
             raise ValueError("no concrete map attached to this spec")
         return PhiSpec(d=self.d, f=self.f, bad_places=self.bad_places)
+
+
+def _trace_realizable(q: int, a: int) -> bool:
+    """Whether some elliptic curve over F_q has trace a, given a^2 <= 4q.
+
+    Waterhouse (Ann. Sci. ENS 1969, Thm 4.1), for q = p^n: a prime to p; or
+    n even and a = +-2 sqrt(q); or n even, p != 1 mod 3 and a = +-sqrt(q);
+    or n odd, p = 2 or 3 and a = +-p^((n+1)/2); or a = 0 with n odd, or with
+    n even and p != 1 mod 4.  Over a prime field every such a qualifies.
+    """
+    p = _prime_divisors(q)[0]
+    if a % p:
+        return True
+    n = 1
+    while p**n < q:
+        n += 1
+    if n % 2:
+        return a == 0 or (p in (2, 3) and abs(a) == p ** ((n + 1) // 2))
+    root = p ** (n // 2)
+    return abs(a) == 2 * root or (abs(a) == root and p % 3 != 1) or (a == 0 and p % 4 != 1)
 
 
 def _moebius(n: int) -> int:

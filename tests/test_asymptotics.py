@@ -126,17 +126,11 @@ def test_higher_order_pole_report():
     assert remainder_check(report, 30).ok
 
 
-def test_geometric_decay_envelope():
-    # (1+3w)/((1-5w)(1+w/2)): remainder decays at ratio 1/2
+def test_build_report_refuses_root_outside_unit_disk():
+    # (1+3w)/((1-5w)(1+w/2)): the factor 1 + w/2 has its root -2 outside the closed unit disk
     z = R((1, 3), (1, Fraction(-9, 2), Fraction(-5, 2)))
-    report = build_report(z, 5, 2)
-    assert 0.49 < report.decay_base < 0.51
-    rc = remainder_check(report, 60)
-    assert rc.ok and rc.differences_match_remainder
-    a = series_coefficients(report.normalized, 60)
-    g = series_coefficients(report.remainder, 60)
-    for m in range(61):
-        assert a[m] - predicted_coefficient(report, m) == g[m]
+    with pytest.raises(ValueError, match="outside the closed unit disk"):
+        build_report(z, 5, 2)
 
 
 def test_in_family_double_pole_validated_by_oracle():
@@ -260,11 +254,11 @@ def test_xl_anchor_report_and_remainder(xl_anchor_spec):
 def _valid_specs(draw):
     """Genus-0 and genus-1 specs with small q, d <= 6 and at most 3 bad places.
 
-    Genus 1 takes a prime q, over which every trace in the Hasse range occurs
-    (Deuring); over F_8, for instance, no curve has trace 2.
+    Genus 1 draws a trace in the Hasse range, which ProblemSpec refuses when
+    no curve has it (over F_8, for instance, trace 2).
     """
     genus = draw(st.sampled_from((0, 1)))
-    q = draw(st.sampled_from((2, 3, 5, 7) if genus else (2, 3, 4, 5, 7, 8, 9)))
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
     d = draw(st.integers(2, 6))
     places = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, d - 1)), max_size=3))
     trace = None
@@ -274,7 +268,7 @@ def _valid_specs(draw):
     try:
         return ProblemSpec(q=q, genus=genus, d=d, frobenius_trace=trace,
                            bad_places=tuple(BadPlace(f_v=f_v, vf=vf) for f_v, vf in places))
-    except ValueError:  # more bad places of some degree than the field has
+    except ValueError:  # an unrealizable trace, or more bad places of some degree than the field has
         assume(False)
 
 
@@ -288,4 +282,4 @@ def test_every_denominator_factor_is_a_pole_record_and_the_remainder_a_polynomia
     assert sorted((p.coeffs, k) for p, k in factors) == sorted(
         (rec.factor.coeffs, rec.order) for rec in report.pole_records)
     assert report.remainder.den.degree == 0
-    assert report.decay_base == 0.0
+    assert remainder_check(report, 2 * report.remainder.num.degree + 8).ok

@@ -166,9 +166,7 @@ def test_verify_names_the_first_failing_coefficient(tmp_path, monkeypatch, capsy
         return RemainderCheck(
             ok=False,
             differences_match_remainder=False,
-            envelope_constant=1.0,
             max_abs_difference=Fraction(1),
-            decay_base=0.5,
             first_failure=17,
         )
 
@@ -230,6 +228,21 @@ def test_cli_start_up_loads_neither_sympy_nor_numpy(tmp_path):
     assert run.stdout.splitlines()[-1] == "[False, False] [False, False]"
 
 
+def test_closed_output_pipe_exits_141_quietly(tmp_path):
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    argv = ["asymptote", "--spec", _write(tmp_path, "s.json", INERT), "--all-up-to", "3000",
+            "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-m", "heightzeta.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_poles_share_the_exact_modulus_real_part(tmp_path, capsys):
     assert main(["poles", "--spec", _write(tmp_path, "l.json", L_ANCHOR), "--format", "json"]) == 0
     records = json.loads(capsys.readouterr().out)
@@ -270,6 +283,11 @@ def test_input_error_exit_codes(tmp_path, capsys):
         {"q": 5, "genus": 1, "d": 2, "frobenius_trace": 6, "bad_places": [{"f_v": 1, "vf": 1}]},
     )
     assert main(["zeta", "--spec", bad_hasse]) == 2
+    # within the Hasse bound, but over F_8 a trace is odd, 0 or +-4 (Waterhouse)
+    no_curve = _write(tmp_path, "f8.json", {
+        "q": 8, "genus": 1, "d": 2, "frobenius_trace": 2,
+        "bad_places": [{"f_v": 1, "vf": 1}], "base_modulus": "t^3+t+1"})
+    assert main(["verify", "--spec", no_curve]) == 2
     both = _write(
         tmp_path,
         "both.json",

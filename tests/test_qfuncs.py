@@ -8,8 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightzeta.asymptotics import build_report, predicted_coefficients, remainder_check
 from heightzeta.qfuncs import (
-    MixedModulusError,
     NumberFieldElem,
     PoleRecord,
     QPoly,
@@ -196,21 +196,34 @@ def test_exponent_gcd_normalize():
 
 
 def test_unit_disk_poles_retention():
-    # 1/((1 - w/2)(1 - 2w)): keep the root 1/2, drop the root 2
+    # 1/((1 - w/2)(1 - 2w)): the root 2 lies outside the closed unit disk
     z = R((1,), (1, Fraction(-5, 2), 1))
-    recs = unit_disk_poles(z, 5, 2, 1)
-    assert len(recs) == 1
-    assert poly_str(recs[0].factor, "u") == "2u-1"
-    assert recs[0].modulus == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="factor w-2 has a root outside the closed unit disk"):
+        unit_disk_poles(z, 5, 2, 1)
     # boundary modulus 1 is retained
     recs = unit_disk_poles(R((1,), (1, 1)), 5, 2, 1)
     assert len(recs) == 1 and recs[0].modulus == pytest.approx(1.0)
 
 
-def test_mixed_modulus_factor_rejected():
-    # w^2 + w - 1 is irreducible with roots 0.618... and -1.618...
-    with pytest.raises(MixedModulusError, match="mixed-modulus"):
-        unit_disk_poles(R((1,), (-1, 1, 1)), 5, 2, 1)
+def test_unit_disk_poles_sorted_by_exact_modulus():
+    # 1 - 3w, 1 + 3w + 27w^3 and 1 + 81w^4 all have modulus exactly 1/3, so the
+    # tie falls to degree, though the float moduli differ in the last bit
+    # (1/27)^(1/3) > (1/81)^(1/4); 1 + w (modulus 1) comes last
+    den = QPoly((1, 1)) * QPoly((1, 0, 0, 0, 81)) * QPoly((1, 3, 0, 27)) * QPoly((1, -3))
+    recs = unit_disk_poles(QRatFunc(QPoly((1,)), den), 3, 2, 1)
+    assert [rec.factor.degree for rec in recs] == [1, 3, 4, 1]
+    assert recs[1].modulus > recs[2].modulus
+
+
+def test_mixed_modulus_factor_accepted():
+    # w^2 + w - 1 is irreducible with roots 0.618... and -1.618..., and
+    # |p(0)| = |lead|: the trace predictions stay exact for any irreducible factor
+    report = build_report(R((1,), (-1, 1, 1)), 5, 2)
+    (rec,) = report.pole_records
+    assert rec.modulus == pytest.approx(1.0)  # the geometric mean of 0.618... and 1.618...
+    rc = remainder_check(report, 60)
+    assert rc.ok and rc.differences_match_remainder and rc.max_abs_difference == 0
+    assert predicted_coefficients(report, 60) == series_coefficients(report.normalized, 60)
 
 
 def _modulus(coeffs) -> float:
@@ -353,28 +366,18 @@ def test_principal_part_remainder_examples():
 def test_principal_parts_read_no_laurent_data():
     # partial fractions use only each record's factor and order
     z = R((1, 3), (1, Fraction(-9, 2), Fraction(-5, 2)))  # (1+3w)/((1-5w)(1+w/2))
-    recs = [replace(r, laurent=()) for r in unit_disk_poles(z, 5, 2, 1)]
-    assert len(recs) == 1 and recs[0].laurent == ()
+    (rec,) = unit_disk_poles(R((1,), (1, -5)), 5, 2, 1)
+    recs = [replace(rec, laurent=())]
     principal, remainder = split_principal_parts(z, recs)
     assert principal == R((Fraction(16, 11),), (1, -5))
     assert principal + remainder == z
 
 
 def test_series_splits_into_principal_parts_plus_remainder():
-    # denominator with one retained and one discarded factor
-    z = R((1, 3), (1, Fraction(-9, 2), Fraction(-5, 2)))  # (1+3w)/((1-5w)(1+w/2))
-    recs = unit_disk_poles(z, 5, 2, 1)
-    assert len(recs) == 1
-    g = principal_part_remainder(z, recs)
-    assert g.den.gcd(recs[0].factor).degree == 0
-    a = series_coefficients(z, 40)
-    g_series = series_coefficients(g, 40)
-    for m in range(41):
-        p_m = orbit_contribution(recs[0], m)
-        assert a[m] - p_m == g_series[m]
-        # geometric decay of the differences with ratio 1/2
-        assert abs(a[m] - p_m) <= Fraction(8) * Fraction(1, 2) ** m
-        assert isinstance(p_m, Fraction)
+    # (1+3w)/((1-5w)(1+w/2)): the root -2 lies outside the closed unit disk
+    z = R((1, 3), (1, Fraction(-9, 2), Fraction(-5, 2)))
+    with pytest.raises(ValueError, match="outside the closed unit disk"):
+        unit_disk_poles(z, 5, 2, 1)
 
 
 def test_number_field_arithmetic():

@@ -270,6 +270,22 @@ def test_bad_place_validation():
         ProblemSpec(q=5, genus=1, d=2, bad_places=())  # missing trace
 
 
+@pytest.mark.parametrize("q, trace, realizable", [
+    (8, 2, False), (8, 1, True), (8, 4, True), (8, 0, True), (8, -4, True),
+    (25, 0, False), (27, 3, False), (27, 9, True),
+])
+def test_genus1_trace_must_be_realizable_over_a_prime_power(q, trace, realizable):
+    # Waterhouse (1969), Thm 4.1: over F_(p^n), n > 1, some traces within the Hasse bound have no curve
+    def spec():
+        return ProblemSpec(q=q, genus=1, d=2, bad_places=(), frobenius_trace=trace)
+
+    if realizable:
+        assert spec().frobenius_trace == trace
+    else:
+        with pytest.raises(ValueError, match=f"no elliptic curve over F_{q} has trace {trace}"):
+            spec()
+
+
 def test_decomposition_check_l_anchor(l_anchor_spec):
     assert decomposition_check(l_anchor_spec).ok
 
