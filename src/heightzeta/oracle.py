@@ -42,9 +42,11 @@ digits mod p.  Counting g through all its codes, constant digit fastest,
 changes g at each step by the element whose digits are 1 at positions
 0..K, K being where the step carries.  So for any F_p-linear map L, L(g)
 changes by L of that element, a digit list computed once per walk, and its
-code follows digit by digit.  The sieve takes L(g) = pi*g, the multiples of
-an irreducible; the enumerate walk takes L(g) = g mod den, the residue of
-every numerator (and of every larger denominator, for the unit tables).
+code follows digit by digit.  The sieve takes L(g) = pi*g, the proper
+multiples of an irreducible pi: it sets pi's own entry where it finds pi, and
+never walks an irreducible of the top degree n, which has no multiple left
+to visit.  The enumerate walk takes L(g) = g mod den, the residue of every
+numerator (and of every larger denominator, for the unit tables).
 Below deg den reduction is the identity, so a residue walk steps once per
 block of up to ``RESIDUE_BLOCK`` codes and fills the block at C speed.
 Neither builds a polynomial per step, and prime and extension fields share
@@ -82,7 +84,7 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CountTable:
-    """Counts per height exponent: m -> #x (canonical q^(m/d) or standard q^m)."""
+    """Counts per height exponent: m -> #x (canonical q^(m/d) or standard q^m), m <= max_m."""
 
     q: int
     d: int
@@ -93,6 +95,8 @@ class CountTable:
         return sum(self.counts.values())
 
     def __getitem__(self, m: int) -> int:
+        if not 0 <= m <= self.max_m:
+            raise IndexError(f"m = {m} was not tabulated: the table covers 0..max_m = {self.max_m}")
         return self.counts.get(m, 0)
 
 
@@ -328,18 +332,20 @@ def _sieve(field: FqField, n: int, bad_places):
     coefficients in base q, constant fastest, which is the walk order.
     Every entry starts at q^b.  A monic of degree b whose entry still reads
     q^b when b is reached has no irreducible factor of smaller degree, so it
-    is an irreducible pi; each multiple pi*g of degree <= n then has its
-    entry scaled by (1 - q^-b), exactly, and its mask bit set if pi is bad.
-    By the time degree b is yielded its entries are final.
+    is an irreducible pi.  Its own entry becomes q^b - 1, with its mask bit
+    if pi is bad, in the pass that finds it; each proper multiple pi*g of
+    degree <= n then has its entry scaled by (1 - q^-b), exactly, and the
+    same bit set.  An irreducible of degree n has no such multiple, so it is
+    never walked.  By the time degree b is yielded its entries are final.
 
-    The multiples pi*g of degree b + j are visited as codes only, in the
-    counter order of g: the first is pi*t^j, whose code is pi's times q^j,
+    The multiples pi*g of degree b + j, j >= 1, are visited as codes only, in
+    the counter order of g: the first is pi*t^j, whose code is pi's times q^j,
     and each counter step of g adds the precomputed digits of pi times that
     step (``_affine_codes``).  No product is multiplied out and no
     polynomial object is built.
     """
     q, p, e = field.q, field.p, field.e
-    bits = {bp.pi.coeffs: 1 << i for i, bp in enumerate(bad_places)}
+    bits = {_code(field, bp.pi): 1 << i for i, bp in enumerate(bad_places)}
     units = [[q**b] * q**b for b in range(n + 1)]
     masks = [[0] * q**b for b in range(n + 1)]
     carries = _ruler(p, max(n - 1, 0) * e)
@@ -349,14 +355,18 @@ def _sieve(field: FqField, n: int, bad_places):
         # The walk proper: each denominator of degree b is visited here once.
         found = [c for c, u in enumerate(row_u) if u == qb] if b else []
         for c in found:
+            row_u[c] = qb - 1
+            bit = row_m[c] = bits.get(qb + c, 0)
+            if b == n:
+                continue  # no multiple of higher degree to visit
             pi = [c // q**i % q for i in range(b)] + [1]
-            bit = bits.get(tuple(pi), 0)
             # digits of y^r * pi for the e codes y^r = p^r; over a prime field just pi
-            scaled = [_digits(field, [field.mul(p**r, a) for a in pi], b + 1) for r in range(e)]
+            scaled = [pi] if e == 1 else [_digits(field, [field.mul(p**r, a) for a in pi], b + 1)
+                                          for r in range(e)]
             low = scaled[0][:-e]  # pi without its leading 1
             steps = _counter_steps(p, [[0] * (k * e) + scaled[r]
                                        for k in range(n - b) for r in range(e)])
-            for j in range(n - b + 1):
+            for j in range(1, n - b + 1):
                 row_uj, row_mj = units[b + j], masks[b + j]
                 for code in _affine_codes(p, [0] * (j * e) + low, c * q**j, steps,
                                           islice(carries, q**j - 1)):
@@ -396,6 +406,8 @@ def _tally(field: FqField, n: int, bad_places, method: str, override: bool = Fal
     """
     if method not in ("fast", "enumerate"):
         raise ValueError(f"unknown counting method {method!r}")
+    if n < 0:
+        raise ValueError("bound exponent must be >= 0")
     _check_budget(field, n, override)
     tally: Counter = Counter()
     if method == "fast":
@@ -469,6 +481,4 @@ def count_region(phi: PhiSpec, t_set, h_max: int, method: str = "fast") -> Count
 
 def cumulative_count(phi: PhiSpec, k: int) -> int:
     """N(B) for B = q^(k/d): number of x with canonical height at most B."""
-    if k < 0:
-        raise ValueError("bound exponent must be >= 0")
     return count_canonical_heights(phi, k).total()

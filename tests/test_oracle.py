@@ -194,6 +194,34 @@ def test_unknown_method_is_reported_before_the_budget():
         count_canonical_heights(phi, 40)
 
 
+def test_count_table_refuses_an_untabulated_m():
+    phi = validate_phi(F5.poly_t(), 2)
+    table = count_canonical_heights(phi, 7)
+    assert table[7] == table.counts[7] > 0
+    for m in (8, 100, -1):
+        with pytest.raises(IndexError, match=f"m = {m} .*max_m = 7"):
+            table[m]
+    region = count_region(phi, {0}, 2)
+    assert region[2] == region.counts[2]
+    with pytest.raises(IndexError, match="max_m = 2"):
+        region[3]
+
+
+def test_negative_bounds_are_refused():
+    phi = validate_phi(F5.poly_t(), 2)
+    for method in ("fast", "enumerate"):
+        for bound in (-1, -5):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                count_canonical_heights(phi, bound, method=method)
+            with pytest.raises(ValueError, match="must be >= 0"):
+                count_region(phi, set(), bound, method=method)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        cumulative_count(phi, -1)
+    # a bound of 0 still counts
+    assert count_canonical_heights(phi, 0).counts == {}
+    assert count_region(phi, {0}, 0).counts == {0: 5}
+
+
 def _reference_unit_count(den):
     """#(F_q[t]/den)^* from the factorization: prod of |pi|^k - |pi|^(k-1)."""
     q = den.field.q
@@ -228,6 +256,16 @@ def _assert_sieve_matches_factorization(field, n, bad):
 )
 def test_sieve_matches_factorization(field, n):
     _assert_sieve_matches_factorization(field, n, _bad_places(field))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9], ids=lambda f: f.q)
+def test_sieve_sets_the_bit_of_a_bad_place_of_degree_n(field, n):
+    # the sieve walks no irreducible of degree n, yet must still mark one that is bad
+    top = [pi for pi in monic_polys(field, n) if pi.is_irreducible()]
+    pis = {top[0], top[-1], next(monic_polys(field, 1))}
+    bad = tuple(BadPlace(f_v=pi.degree, vf=1, pi=pi) for pi in sorted(pis, key=lambda pi: pi.coeffs))
+    _assert_sieve_matches_factorization(field, n, bad)
 
 
 F7 = FqField(7)
