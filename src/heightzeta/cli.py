@@ -20,6 +20,10 @@ floats appear only in displayed pole data (moduli and locations).  Exit
 codes: 0 success, 2 input or validation error, 3 failed internal identity,
 141 (the shell's status for SIGPIPE) when the reader closes standard
 output early, as `| head` does.
+
+Only what reading a spec and `zeta` need is imported at module level;
+`asymptotics`, `oracle` and `curves` are imported inside the commands that
+use them, so a process compiles only the modules on its command's path.
 """
 
 from __future__ import annotations
@@ -30,9 +34,7 @@ import os
 import sys
 from itertools import accumulate
 
-from .asymptotics import build_report, main_terms, remainder_check
 from .gf import MAX_EXTENSION_Q, MAX_Q, FqField, _prime_divisors, poly_from_string, poly_to_string
-from .oracle import BudgetExceeded, count_canonical_heights, max_height_exponent_within_budget
 from .places import BadPlace, realize_phi
 from .qfuncs import QRatFunc, poly_str, series_coefficients
 from .zeta import ProblemSpec, assemble_zeta, decomposition_check, from_poly
@@ -230,6 +232,8 @@ def _poly_text(coeffs: list[int]) -> str:
 
 
 def _report_for(spec: ProblemSpec):
+    from .asymptotics import build_report
+
     closed = assemble_zeta(spec)
     return build_report(closed.combined, spec.q, spec.d)
 
@@ -279,11 +283,15 @@ def cmd_asymptote(args) -> int:
     phi = _phi_for_oracle(spec)
     oracle_cumulative = None
     if phi is not None:
+        from .oracle import BudgetExceeded, count_canonical_heights
+
         try:
             table = count_canonical_heights(phi, kmax, override=args.budget_override)
             oracle_cumulative = list(accumulate(table[m] for m in range(kmax + 1)))
         except BudgetExceeded:
             pass
+    from .asymptotics import main_terms
+
     mains = main_terms(report, kmax)
     rows = []
     for k in ks:
@@ -319,6 +327,8 @@ def cmd_verify(args) -> int:
 
     phi = _phi_for_oracle(spec)
     if phi is not None:
+        from .oracle import count_canonical_heights, max_height_exponent_within_budget
+
         budget_n = max_height_exponent_within_budget(spec.q)
         m_cap = spec.d * budget_n
         m_max = min(args.max_coeff, m_cap) if not args.budget_override else args.max_coeff
@@ -341,6 +351,8 @@ def cmd_verify(args) -> int:
         )
 
     checks.append({"name": "decomposition", "pass": dec.ok})
+
+    from .asymptotics import build_report, remainder_check
 
     report = build_report(dec.assembled, spec.q, spec.d)
     rc = remainder_check(report, max(args.max_coeff, 40))
@@ -444,7 +456,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (InputError, ValueError, BudgetExceeded) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heightzeta.asymptotics as asymptotics
 import heightzeta.cli as cli
+import heightzeta.oracle as oracle
 import heightzeta.zeta as zeta
 from heightzeta.asymptotics import RemainderCheck
 from heightzeta.cli import load_spec, main, spec_to_json
@@ -120,6 +122,21 @@ def test_verify_pass(tmp_path, capsys):
     assert names == {"series_vs_oracle", "decomposition", "remainder_decay"}
 
 
+def test_asymptote_past_the_oracle_budget_omits_the_oracle(tmp_path, capsys):
+    spec = _write(tmp_path, "s.json", {"q": 2, "genus": 0, "d": 2, "f": "t^2+t+1"})
+    assert main(["asymptote", "--spec", spec, "--all-up-to", "26", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 27
+    assert not any("oracle" in row for row in rows)
+
+
+def test_verify_caps_the_oracle_at_its_budget(tmp_path, capsys):
+    spec = _write(tmp_path, "s.json", {"q": 5, "genus": 0, "d": 2, "f": "t^2+t"})
+    assert main(["verify", "--spec", spec, "--max-coeff", "40", "--format", "json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["series_vs_oracle"]["max_coeff"] == 10
+
+
 def test_verify_genus1(tmp_path, capsys):
     spec = _write(tmp_path, "s.json", INERT)
     assert main(["verify", "--spec", spec, "--format", "json"]) == 0
@@ -174,14 +191,15 @@ def test_verify_names_the_first_failing_coefficient(tmp_path, monkeypatch, capsy
         table = count_canonical_heights(phi, m_max, override=override)
         return replace(table, counts={**table.counts, 4: table.counts.get(4, 0) + 1})
 
-    monkeypatch.setattr(cli, "remainder_check", failing)
+    # cli imports these at call time, from their own modules
+    monkeypatch.setattr(asymptotics, "remainder_check", failing)
     assert main(["verify", "--spec", spec, "--max-coeff", "6", "--format", "json"]) == 3
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["remainder_decay"]["pass"] is False
     assert checks["remainder_decay"]["first_failure"] == 17
     assert checks["series_vs_oracle"]["first_mismatch"] is None
 
-    monkeypatch.setattr(cli, "count_canonical_heights", miscounted)
+    monkeypatch.setattr(oracle, "count_canonical_heights", miscounted)
     assert main(["verify", "--spec", spec, "--max-coeff", "6"]) == 3
     out = capsys.readouterr().out
     assert "  FAIL  series_vs_oracle  (first failing m = 4)\n" in out
@@ -226,6 +244,44 @@ def test_cli_start_up_loads_neither_sympy_nor_numpy(tmp_path):
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert run.stdout.splitlines()[-1] == "[False, False] [False, False]"
+
+
+# Submodules on each command's path; every other one must stay unloaded.
+ON_EVERY_PATH = ["cli", "gf", "places", "qfuncs", "zeta"]
+RUN_CLI = "from heightzeta.cli import main\nmain(sys.argv[1:])"
+
+
+@pytest.mark.parametrize(
+    "action, argv, spec, loaded",
+    [
+        ("import heightzeta", [], None, []),
+        ("import heightzeta\nheightzeta.qpoly_factor(heightzeta.QPoly((-2, 0, 1)))", [], None,
+         ["gf", "qfuncs"]),
+        ("import heightzeta\nheightzeta.oracle", [], None, ["gf", "oracle", "places"]),
+        (RUN_CLI, ["zeta"], G0, ON_EVERY_PATH),
+        (RUN_CLI, ["zeta"], {"q": 6, "genus": 0, "d": 2, "f": "t"}, ON_EVERY_PATH),
+        (RUN_CLI, ["poles"], M_ANCHOR, ["asymptotics", *ON_EVERY_PATH]),
+        (RUN_CLI, ["asymptote", "--all-up-to", "4"], INERT, ["asymptotics", *ON_EVERY_PATH]),
+        (RUN_CLI, ["curve", "--q", "5", "--h", "t^3+1", "--f", "t", "--d", "2"], None,
+         ["cli", "curves", "gf", "places", "qfuncs", "zeta"]),
+    ],
+    ids=["import", "qpoly_factor", "submodule", "zeta", "zeta-malformed", "poles",
+         "asymptote-genus1", "curve"],
+)
+def test_start_up_loads_only_the_modules_on_the_path(tmp_path, action, argv, spec, loaded):
+    code = (
+        "import sys\n"
+        f"{action}\n"
+        "print(sorted(m.split('.')[1] for m in sys.modules if m.startswith('heightzeta.')))\n"
+    )
+    if spec is not None:
+        argv = [*argv, "--spec", _write(tmp_path, "s.json", spec)]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert run.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_closed_output_pipe_exits_141_quietly(tmp_path):
