@@ -13,8 +13,10 @@ Problem specs are JSON objects with fields q, genus, d, and exactly one of
 "bad_places" (a list of {"f_v": int, "vf": int}); genus 1 via "bad_places"
 also needs "frobenius_trace".  "base_modulus" supplies the defining
 polynomial when q is a proper prime power.  A key a spec's kind never reads
-is refused: "h" or "frobenius_trace" in genus 0, "base_modulus" with a prime
-q; a genus-1 "h" must carry the declared trace.  Exact rationals are
+is refused: one outside these, a bad place's key other than "f_v" and "vf",
+"h" or "frobenius_trace" in genus 0, "base_modulus" with a prime q; a
+genus-1 "h" must carry the declared trace.  A residue degree "f_v" may not
+exceed the largest that an "f" given as text can produce.  Exact rationals are
 serialized as decimal-free "p/q" strings and coefficient arrays as integers;
 floats appear only in displayed pole data (moduli and locations).  Exit
 codes: 0 success, 2 input or validation error, 3 failed internal identity,
@@ -34,9 +36,11 @@ import os
 import sys
 from itertools import accumulate
 
-from .gf import MAX_EXTENSION_Q, MAX_Q, FqField, _prime_divisors, poly_from_string, poly_to_string
-from .places import BadPlace, realize_phi
+# qfuncs first: with no bytecode cache its compile is the largest allocation of
+# start-up, and made on the smallest heap it sets a lower peak RSS
 from .qfuncs import QRatFunc, poly_str, series_coefficients
+from .gf import MAX_EXTENSION_Q, MAX_Q, MAX_TEXT_DEGREE, FqField, _prime_divisors, poly_from_string, poly_to_string
+from .places import BadPlace, realize_phi
 from .zeta import ProblemSpec, assemble_zeta, decomposition_check, from_poly
 
 EXIT_OK = 0
@@ -84,7 +88,16 @@ def _require_int(value, what: str):
         raise InputError(f"{what} must be an integer, got {value!r}")
 
 
+def _refuse_unknown_keys(data: dict, known: tuple[str, ...], where: str):
+    for key in data:
+        if key not in known:
+            raise InputError(f"unknown key {key!r} in {where}")
+
+
 def load_spec(data: dict) -> ProblemSpec:
+    _refuse_unknown_keys(
+        data, ("q", "genus", "d", "f", "h", "bad_places", "frobenius_trace", "base_modulus"), "the spec"
+    )
     for key in ("q", "genus", "d"):
         if key not in data:
             raise InputError(f"spec is missing {key!r}")
@@ -121,12 +134,20 @@ def load_spec(data: dict) -> ProblemSpec:
         spec = build_genus1_spec(field, h, f, d)
         _check_trace(data.get("frobenius_trace"), spec.frobenius_trace)
         return spec
+    # the largest residue degree an "f" given as text can produce; an inert
+    # place of a genus-1 field doubles it
+    max_f_v = MAX_TEXT_DEGREE * (1 + genus)
     bad = []
     for entry in data["bad_places"]:
         if not isinstance(entry, dict) or "f_v" not in entry or "vf" not in entry:
             raise InputError(f"malformed bad_places entry {entry!r}")
+        _refuse_unknown_keys(entry, ("f_v", "vf"), f"bad_places entry {entry!r}")
         _require_int(entry["f_v"], "f_v")
         _require_int(entry["vf"], "vf")
+        if entry["f_v"] > max_f_v:
+            raise InputError(
+                f"residue degree f_v = {entry['f_v']} exceeds the supported maximum {max_f_v} for genus {genus}"
+            )
         bad.append(BadPlace(f_v=entry["f_v"], vf=entry["vf"]))
     spec = ProblemSpec(
         q=data["q"],

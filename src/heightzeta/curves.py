@@ -11,7 +11,6 @@ genus-1 problem spec for the zeta engine.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .gf import FqField, PolyFq, poly_to_string, residue_square_class
 from .places import BadPlace
@@ -61,16 +60,19 @@ def cubic_discriminant(h: PolyFq) -> int:
     return term
 
 
-@dataclass(frozen=True)
 class SplittingType:
     """Behavior of a place of F_q(t) in F_q(t)(sqrt(h)): the places above it.
 
-    places lists (f_v, e) pairs: residue degree over F_q and ramification
-    index, one entry per place upstairs.
+    kind is 'split', 'inert' or 'ramified'; places lists (f_v, e) pairs:
+    residue degree over F_q and ramification index, one entry per place
+    upstairs.
     """
 
-    kind: str  # 'split' | 'inert' | 'ramified'
-    places: tuple[tuple[int, int], ...]
+    __slots__ = ("kind", "places")
+
+    def __init__(self, kind: str, places: tuple[tuple[int, int], ...]):
+        self.kind = kind
+        self.places = places
 
 
 def splitting_type(h: PolyFq, pi: PolyFq) -> SplittingType:

@@ -15,16 +15,17 @@ stay integers throughout; no floating point enters any height comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .gf import FqField, PolyFq, RatFuncFq, poly_to_string, ratfunc_compose_power_plus
 
 
-@dataclass(frozen=True)
 class Place:
     """A place of F_q(t): finite (monic irreducible pi) or infinite (pi=None)."""
 
-    pi: PolyFq | None
+    __slots__ = ("pi",)
+
+    def __init__(self, pi: PolyFq | None):
+        self.pi = pi
 
     @property
     def is_infinite(self) -> bool:
@@ -38,7 +39,6 @@ class Place:
         return "Place(inf)" if self.pi is None else f"Place({poly_to_string(self.pi)})"
 
 
-@dataclass(frozen=True)
 class BadPlace:
     """Bad-reduction data at one place: residue degree f_v and v(f) > 0.
 
@@ -46,19 +46,24 @@ class BadPlace:
     curve data carry only (f_v, vf) plus a human-readable label.
     """
 
-    f_v: int
-    vf: int
-    pi: PolyFq | None = None
-    label: str = ""
+    __slots__ = ("f_v", "vf", "pi", "label")
+
+    def __init__(self, f_v: int, vf: int, pi: PolyFq | None = None, label: str = ""):
+        self.f_v = f_v
+        self.vf = vf
+        self.pi = pi
+        self.label = label
 
 
-@dataclass(frozen=True)
 class PhiSpec:
     """The map phi(z) = z^d + 1/f over F_q(t) with its validated bad set."""
 
-    d: int
-    f: PolyFq
-    bad_places: tuple[BadPlace, ...]
+    __slots__ = ("d", "f", "bad_places")
+
+    def __init__(self, d: int, f: PolyFq, bad_places: tuple[BadPlace, ...]):
+        self.d = d
+        self.f = f
+        self.bad_places = bad_places
 
     @property
     def field(self) -> FqField:

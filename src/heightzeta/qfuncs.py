@@ -29,7 +29,6 @@ from the argument of a root found by an Aberth-Ehrlich iteration (_roots).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
@@ -836,7 +835,6 @@ def _power_sums(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 # -- pole records and Laurent data ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class PoleRecord:
     """Strip poles of one irreducible denominator factor, with Laurent data.
 
@@ -850,12 +848,17 @@ class PoleRecord:
     mean, which then also sets every Re a.
     """
 
-    factor: QPoly
-    order: int
-    modulus: float
-    numeric_poles: tuple[tuple[float, float], ...]
-    numeric_roots: tuple[complex, ...]
-    laurent: tuple[NumberFieldElem, ...]
+    __slots__ = ("factor", "order", "modulus", "numeric_poles", "numeric_roots", "laurent")
+
+    def __init__(self, factor: QPoly, order: int, modulus: float,
+                 numeric_poles: tuple[tuple[float, float], ...],
+                 numeric_roots: tuple[complex, ...], laurent: tuple[NumberFieldElem, ...]):
+        self.factor = factor
+        self.order = order
+        self.modulus = modulus
+        self.numeric_poles = numeric_poles
+        self.numeric_roots = numeric_roots
+        self.laurent = laurent
 
 
 def exponent_gcd_normalize(z: QRatFunc):

@@ -20,7 +20,6 @@ and reduces in Q(w).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 from .gf import FqField, PolyFq, _prime_divisors
@@ -33,7 +32,6 @@ from .qfuncs import QPoly, QRatFunc
 MAX_MAP_DEGREE = 128
 
 
-@dataclass(frozen=True)
 class ProblemSpec:
     """Everything the closed form needs: base field data plus the bad set.
 
@@ -43,16 +41,19 @@ class ProblemSpec:
     themselves.
     """
 
-    q: int
-    genus: int
-    d: int
-    bad_places: tuple[BadPlace, ...]
-    frobenius_trace: int | None = None
-    field: FqField | None = None
-    f: PolyFq | None = None
-    curve: PolyFq | None = None
+    __slots__ = ("q", "genus", "d", "bad_places", "frobenius_trace", "field", "f", "curve")
 
-    def __post_init__(self):
+    def __init__(self, q: int, genus: int, d: int, bad_places: tuple[BadPlace, ...],
+                 frobenius_trace: int | None = None, field: FqField | None = None,
+                 f: PolyFq | None = None, curve: PolyFq | None = None):
+        self.q = q
+        self.genus = genus
+        self.d = d
+        self.bad_places = bad_places
+        self.frobenius_trace = frobenius_trace
+        self.field = field
+        self.f = f
+        self.curve = curve
         if self.genus not in (0, 1):
             raise ValueError("genus must be 0 or 1")
         if self.d < 2:
@@ -209,11 +210,13 @@ def _inverse_zeta_w(spec: ProblemSpec) -> QRatFunc:
     return dedekind_zeta(spec.genus, spec.q, spec.frobenius_trace).pow_(-1).compose_power(spec.d)
 
 
-@dataclass(frozen=True)
 class ZetaClosedForm:
-    main_term: QRatFunc
-    correction_term: QRatFunc
-    combined: QRatFunc
+    __slots__ = ("main_term", "correction_term", "combined")
+
+    def __init__(self, main_term: QRatFunc, correction_term: QRatFunc, combined: QRatFunc):
+        self.main_term = main_term
+        self.correction_term = correction_term
+        self.combined = combined
 
 
 def assemble_zeta(spec: ProblemSpec) -> ZetaClosedForm:
@@ -286,11 +289,13 @@ def partial_zeta_DT(spec: ProblemSpec, t_set) -> QRatFunc:
     return _region_zeta(spec, t_set, set(range(len(spec.bad_places))) - t_set)
 
 
-@dataclass(frozen=True)
 class DecompositionResult:
-    ok: bool
-    assembled: QRatFunc
-    difference: QRatFunc
+    __slots__ = ("ok", "assembled", "difference")
+
+    def __init__(self, ok: bool, assembled: QRatFunc, difference: QRatFunc):
+        self.ok = ok
+        self.assembled = assembled
+        self.difference = difference
 
 
 def decomposition_check(spec: ProblemSpec) -> DecompositionResult:

@@ -20,7 +20,7 @@ from heightzeta.cli import load_spec, main, spec_to_json
 from heightzeta.gf import MAX_TEXT_DEGREE
 from heightzeta.oracle import count_canonical_heights
 from heightzeta.qfuncs import NumberFieldElem, QPoly, QRatFunc
-from heightzeta.zeta import DecompositionResult, assemble_zeta
+from heightzeta.zeta import DecompositionResult, ProblemSpec, assemble_zeta
 
 
 def _write(tmp_path, name, payload):
@@ -284,6 +284,29 @@ def test_start_up_loads_only_the_modules_on_the_path(tmp_path, action, argv, spe
     assert run.stdout.splitlines()[-1] == str(loaded)
 
 
+@pytest.mark.parametrize(
+    "action, argv, spec",
+    [
+        ("import heightzeta.qfuncs", [], None),
+        ("import heightzeta.cli", [], None),
+        (RUN_CLI, ["zeta"], G0),
+        (RUN_CLI, ["curve", "--q", "5", "--h", "t^3+1", "--f", "t", "--d", "2"], None),
+    ],
+    ids=["qfuncs", "cli", "zeta", "curve"],
+)
+def test_shared_path_loads_no_dataclasses(tmp_path, action, argv, spec):
+    # dataclasses imports inspect, ast and dis: about 12 ms of every process's start-up
+    code = f"import sys\n{action}\nprint('dataclasses' in sys.modules)\n"
+    if spec is not None:
+        argv = [*argv, "--spec", _write(tmp_path, "s.json", spec)]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_closed_output_pipe_exits_141_quietly(tmp_path):
     # the reader takes one line and closes the pipe, as `| head -1` does
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -429,6 +452,32 @@ def test_spec_degree_above_limit_exits_2_at_once(tmp_path, capsys, payload):
     assert f"t^{MAX_TEXT_DEGREE}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, limit",
+    [
+        ({"q": 5, "genus": 0, "d": 2, "bad_places": [{"f_v": 10**30, "vf": 1}]}, MAX_TEXT_DEGREE),
+        ({"q": 5, "genus": 0, "d": 2, "bad_places": [{"f_v": MAX_TEXT_DEGREE + 1, "vf": 1}]},
+         MAX_TEXT_DEGREE),
+        ({**INERT, "bad_places": [{"f_v": 100000, "vf": 1}]}, 2 * MAX_TEXT_DEGREE),
+        ({**INERT, "bad_places": [{"f_v": 2 * MAX_TEXT_DEGREE + 1, "vf": 1}]}, 2 * MAX_TEXT_DEGREE),
+    ],
+    ids=["genus0-huge", "genus0-above", "genus1-huge", "genus1-above"],
+)
+def test_residue_degree_above_limit_exits_2_at_once(tmp_path, capsys, payload, limit):
+    start = time.perf_counter()
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", payload)]) == 2
+    assert time.perf_counter() - start < 2
+    assert f"exceeds the supported maximum {limit}" in capsys.readouterr().err
+
+
+def test_residue_degree_at_limit_loads():
+    # an inert place above an irreducible f of the largest text degree
+    spec = load_spec({**INERT, "bad_places": [{"f_v": 2 * MAX_TEXT_DEGREE, "vf": 1}]})
+    assert spec.bad_places[0].f_v == 2 * MAX_TEXT_DEGREE
+    spec = load_spec({"q": 5, "genus": 0, "d": 2, "bad_places": [{"f_v": MAX_TEXT_DEGREE, "vf": 1}]})
+    assert spec.bad_places[0].f_v == MAX_TEXT_DEGREE
+
+
 def test_huge_q_exits_2_at_once(tmp_path, capsys):
     q = 1000000000000000003  # prime; trial division up to sqrt(q) would not finish
     payload = {"q": q, "genus": 0, "d": 2, "bad_places": [{"f_v": 1, "vf": 1}]}
@@ -513,8 +562,10 @@ def test_genus0_spec_with_a_frobenius_trace_exits_2(tmp_path, capsys, payload):
     for command in ("zeta", "verify"):
         assert main([command, "--spec", spec]) == 2
         assert "frobenius_trace applies to genus 1 only" in capsys.readouterr().err
+    spec = load_spec(G0)
     with pytest.raises(ValueError, match="genus 1 only"):
-        replace(load_spec(G0), frobenius_trace=0)
+        ProblemSpec(q=spec.q, genus=spec.genus, d=spec.d, bad_places=spec.bad_places,
+                    frobenius_trace=0, field=spec.field, f=spec.f, curve=spec.curve)
 
 
 @pytest.mark.parametrize(
@@ -525,9 +576,12 @@ def test_genus0_spec_with_a_frobenius_trace_exits_2(tmp_path, capsys, payload):
      ({**INERT, "h": "t^3+t"}, "declared frobenius_trace 0 contradicts the curve (computed 2)"),
      ({**INERT, "h": "t^3"}, "singular cubic"),
      ({**G0, "base_modulus": "t^2+2"}, "base_modulus applies to prime-power q only"),
-     ({**SPLIT_CURVE, "base_modulus": "t^2+2"}, "base_modulus applies to prime-power q only")],
+     ({**SPLIT_CURVE, "base_modulus": "t^2+2"}, "base_modulus applies to prime-power q only"),
+     ({**G0, "unknown": 1}, "unknown key 'unknown' in the spec"),
+     ({**INERT, "bad_places": [{"f_v": 2, "vf": 1, "extra": 1}]},
+      "unknown key 'extra' in bad_places entry")],
     ids=["h-genus0-f", "h-genus0-bad_places", "h-wrong-trace", "h-singular", "modulus-genus0",
-         "modulus-genus1"],
+         "modulus-genus1", "unknown-key", "unknown-bad-place-key"],
 )
 def test_spec_key_the_kind_does_not_read_exits_2(tmp_path, capsys, payload, message):
     spec = _write(tmp_path, "s.json", payload)

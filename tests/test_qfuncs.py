@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -367,7 +366,8 @@ def test_principal_parts_read_no_laurent_data():
     # partial fractions use only each record's factor and order
     z = R((1, 3), (1, Fraction(-9, 2), Fraction(-5, 2)))  # (1+3w)/((1-5w)(1+w/2))
     (rec,) = unit_disk_poles(R((1,), (1, -5)), 5, 2, 1)
-    recs = [replace(rec, laurent=())]
+    recs = [PoleRecord(factor=rec.factor, order=rec.order, modulus=rec.modulus,
+                       numeric_poles=rec.numeric_poles, numeric_roots=rec.numeric_roots, laurent=())]
     principal, remainder = split_principal_parts(z, recs)
     assert principal == R((Fraction(16, 11),), (1, -5))
     assert principal + remainder == z
