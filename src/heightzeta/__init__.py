@@ -2,8 +2,8 @@
 
 The public names below load on first use (PEP 562): ``import heightzeta``
 imports no submodule, and ``heightzeta.qpoly_factor`` imports only
-``qfuncs`` and what it needs (``gf``).  The first access caches the name in
-this namespace.
+``zfactor`` and what it needs (``qfuncs``, ``gf`` and ``fqt``).  The first
+access caches the name in this namespace.
 """
 
 import importlib
@@ -23,15 +23,14 @@ _EXPORTS = {
         "stirling_pochhammer_check",
     ),
     "curves": ("affine_point_count", "build_genus1_spec", "frobenius_trace", "splitting_type"),
-    "gf": (
-        "FqField",
-        "PolyFq",
+    "fqt": (
         "RatFuncFq",
         "irreducibles_up_to",
         "poly_from_string",
         "poly_to_string",
         "residue_square_class",
     ),
+    "gf": ("FqField", "PolyFq"),
     "oracle": (
         "CountTable",
         "count_canonical_heights",
@@ -48,21 +47,18 @@ _EXPORTS = {
         "validate_phi",
         "valuation",
     ),
-    "qfuncs": (
+    "poles": (
         "NumberFieldElem",
         "PoleRecord",
-        "QPoly",
-        "QRatFunc",
         "exponent_gcd_normalize",
         "laurent_at_pole",
         "orbit_contribution",
         "orbit_contributions",
         "principal_part_remainder",
-        "qpoly_factor",
-        "series_coefficients",
         "split_principal_parts",
         "unit_disk_poles",
     ),
+    "qfuncs": ("QPoly", "QRatFunc", "series_coefficients"),
     "zeta": (
         "ProblemSpec",
         "ZetaClosedForm",
@@ -74,6 +70,7 @@ _EXPORTS = {
         "partial_zeta_DT",
         "partial_zeta_DU",
     ),
+    "zfactor": ("qpoly_factor",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -29,16 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .qfuncs import (
+from .poles import (
     PoleRecord,
-    QPoly,
-    QRatFunc,
     exponent_gcd_normalize,
     orbit_contributions,
-    series_coefficients,
     split_principal_parts,
     unit_disk_poles,
 )
+from .qfuncs import QPoly, QRatFunc, series_coefficients
 
 _N_MAX = 64
 

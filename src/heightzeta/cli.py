@@ -36,11 +36,10 @@ import os
 import sys
 from itertools import accumulate
 
-# qfuncs first: with no bytecode cache its compile is the largest allocation of
-# start-up, and made on the smallest heap it sets a lower peak RSS
-from .qfuncs import QRatFunc, poly_str, series_coefficients
-from .gf import MAX_EXTENSION_Q, MAX_Q, MAX_TEXT_DEGREE, FqField, _prime_divisors, poly_from_string, poly_to_string
+from .fqt import poly_from_string, poly_to_string
+from .gf import MAX_EXTENSION_Q, MAX_Q, FqField, _prime_divisors
 from .places import BadPlace, realize_phi
+from .qfuncs import QRatFunc, poly_str, series_coefficients
 from .zeta import ProblemSpec, assemble_zeta, decomposition_check, from_poly
 
 EXIT_OK = 0
@@ -134,9 +133,6 @@ def load_spec(data: dict) -> ProblemSpec:
         spec = build_genus1_spec(field, h, f, d)
         _check_trace(data.get("frobenius_trace"), spec.frobenius_trace)
         return spec
-    # the largest residue degree an "f" given as text can produce; an inert
-    # place of a genus-1 field doubles it
-    max_f_v = MAX_TEXT_DEGREE * (1 + genus)
     bad = []
     for entry in data["bad_places"]:
         if not isinstance(entry, dict) or "f_v" not in entry or "vf" not in entry:
@@ -144,10 +140,6 @@ def load_spec(data: dict) -> ProblemSpec:
         _refuse_unknown_keys(entry, ("f_v", "vf"), f"bad_places entry {entry!r}")
         _require_int(entry["f_v"], "f_v")
         _require_int(entry["vf"], "vf")
-        if entry["f_v"] > max_f_v:
-            raise InputError(
-                f"residue degree f_v = {entry['f_v']} exceeds the supported maximum {max_f_v} for genus {genus}"
-            )
         bad.append(BadPlace(f_v=entry["f_v"], vf=entry["vf"]))
     spec = ProblemSpec(
         q=data["q"],

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .gf import FqField, PolyFq, poly_to_string, residue_square_class
+from .fqt import poly_to_string, residue_square_class
+from .gf import FqField, PolyFq
 from .places import BadPlace
 from .zeta import ProblemSpec
 

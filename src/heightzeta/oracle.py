@@ -70,7 +70,8 @@ from itertools import chain, compress, islice, repeat, zip_longest
 from operator import add, not_
 
 from . import gf
-from .gf import FqField, RatFuncFq, all_polys, monic_polys
+from .fqt import RatFuncFq, all_polys, monic_polys
+from .gf import FqField
 from .places import PhiSpec
 
 DEFAULT_BUDGET = 10**8

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .gf import FqField, PolyFq, RatFuncFq, poly_to_string, ratfunc_compose_power_plus
+from .fqt import RatFuncFq, poly_to_string, ratfunc_compose_power_plus
+from .gf import FqField, PolyFq
 
 
 class Place:
@@ -141,7 +142,7 @@ def realize_phi(field: FqField, bad_data, d: int) -> PhiSpec:
     lexicographically first unused monic irreducible of each required degree
     serves; f is the product of the chosen irreducibles to their v(f) powers.
     """
-    from .gf import monic_polys
+    from .fqt import monic_polys
 
     used: set[PolyFq] = set()
     chosen: list[tuple[PolyFq, int]] = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .gf import FqField, PolyFq, _prime_divisors
+from .gf import MAX_TEXT_DEGREE, FqField, PolyFq, _prime_divisors
 from .places import BadPlace, PhiSpec, validate_phi
 from .qfuncs import QPoly, QRatFunc
 
@@ -73,11 +73,18 @@ class ProblemSpec:
                 raise ValueError(
                     f"no elliptic curve over F_{self.q} has trace {self.frobenius_trace}"
                 )
+        # the largest residue degree an "f" given as text can produce; an inert
+        # place of a genus-1 field doubles it
+        max_f_v = MAX_TEXT_DEGREE * (1 + self.genus)
         for bp in self.bad_places:
             if not (0 < bp.vf < self.d):
                 raise ValueError(f"bad place needs 0 < v(f) < d, got v(f)={bp.vf}")
             if bp.f_v < 1:
                 raise ValueError("residue degree must be >= 1")
+            if bp.f_v > max_f_v:
+                raise ValueError(
+                    f"residue degree f_v = {bp.f_v} exceeds the supported maximum {max_f_v} for genus {self.genus}"
+                )
         trace = self.frobenius_trace
         for k, count in sorted(Counter(bp.f_v for bp in self.bad_places).items()):
             # Hasse-Weil gives k * place_count >= X*(X - 10) with X = q^(k/2), so once

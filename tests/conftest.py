@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from heightzeta.gf import FqField, poly_from_string
+from heightzeta.fqt import poly_from_string
+from heightzeta.gf import FqField
 from heightzeta.oracle import count_canonical_heights, max_height_exponent_within_budget
 from heightzeta.places import BadPlace
 from heightzeta.zeta import ProblemSpec, from_poly

@@ -20,7 +20,8 @@ from heightzeta.asymptotics import (
     stirling_pochhammer_check,
 )
 from heightzeta.curves import affine_point_count, build_genus1_spec, frobenius_trace, splitting_type
-from heightzeta.gf import FqField, PolyFq, RatFuncFq, irreducibles_up_to, poly_from_string
+from heightzeta.fqt import RatFuncFq, irreducibles_up_to, poly_from_string
+from heightzeta.gf import FqField, PolyFq
 from heightzeta.places import canonical_height_exp
 from heightzeta.qfuncs import QPoly, QRatFunc, series_coefficients
 from heightzeta.zeta import assemble_zeta, decomposition_check, dedekind_zeta

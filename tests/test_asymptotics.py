@@ -19,7 +19,8 @@ from heightzeta.asymptotics import (
 )
 from heightzeta.gf import FqField
 from heightzeta.places import BadPlace
-from heightzeta.qfuncs import QPoly, QRatFunc, qpoly_factor, series_coefficients
+from heightzeta.qfuncs import QPoly, QRatFunc, series_coefficients
+from heightzeta.zfactor import qpoly_factor
 from heightzeta.zeta import ProblemSpec, assemble_zeta, from_poly
 
 F5 = FqField(5)
@@ -137,7 +138,7 @@ def test_in_family_double_pole_validated_by_oracle():
     # three equal linear bad places leave (1+w)^2 in the denominator, so the
     # axis pole has order 2; the remainder is a polynomial, which forces the
     # m*c_2 prediction term to match brute-force counts exactly for large m
-    from heightzeta.gf import poly_from_string
+    from heightzeta.fqt import poly_from_string
     from heightzeta.oracle import count_canonical_heights
     from heightzeta.zeta import from_poly
 
@@ -196,7 +197,7 @@ def test_genus1_cubic_map_with_ramified_place():
     # d = 3 over F_5(t, sqrt(t^3+t)): the place above t is ramified with
     # v(f) = 2, and the zeta numerator contributes a degree-6 factor in w
     from heightzeta.curves import build_genus1_spec
-    from heightzeta.gf import poly_from_string
+    from heightzeta.fqt import poly_from_string
     from heightzeta.zeta import decomposition_check
 
     F5_local = FqField(5)

@@ -19,7 +19,8 @@ from heightzeta.asymptotics import RemainderCheck
 from heightzeta.cli import load_spec, main, spec_to_json
 from heightzeta.gf import MAX_TEXT_DEGREE
 from heightzeta.oracle import count_canonical_heights
-from heightzeta.qfuncs import NumberFieldElem, QPoly, QRatFunc
+from heightzeta.poles import NumberFieldElem
+from heightzeta.qfuncs import QPoly, QRatFunc
 from heightzeta.zeta import DecompositionResult, ProblemSpec, assemble_zeta
 
 
@@ -247,7 +248,9 @@ def test_cli_start_up_loads_neither_sympy_nor_numpy(tmp_path):
 
 
 # Submodules on each command's path; every other one must stay unloaded.
-ON_EVERY_PATH = ["cli", "gf", "places", "qfuncs", "zeta"]
+ON_EVERY_PATH = ["cli", "fqt", "gf", "places", "qfuncs", "zeta"]
+# poles and asymptote add the pole layers; zeta and a spec refused while it is read do not
+POLE_PATH = sorted(["asymptotics", "poles", "zfactor", *ON_EVERY_PATH])
 RUN_CLI = "from heightzeta.cli import main\nmain(sys.argv[1:])"
 
 
@@ -256,14 +259,14 @@ RUN_CLI = "from heightzeta.cli import main\nmain(sys.argv[1:])"
     [
         ("import heightzeta", [], None, []),
         ("import heightzeta\nheightzeta.qpoly_factor(heightzeta.QPoly((-2, 0, 1)))", [], None,
-         ["gf", "qfuncs"]),
-        ("import heightzeta\nheightzeta.oracle", [], None, ["gf", "oracle", "places"]),
+         ["fqt", "gf", "qfuncs", "zfactor"]),
+        ("import heightzeta\nheightzeta.oracle", [], None, ["fqt", "gf", "oracle", "places"]),
         (RUN_CLI, ["zeta"], G0, ON_EVERY_PATH),
         (RUN_CLI, ["zeta"], {"q": 6, "genus": 0, "d": 2, "f": "t"}, ON_EVERY_PATH),
-        (RUN_CLI, ["poles"], M_ANCHOR, ["asymptotics", *ON_EVERY_PATH]),
-        (RUN_CLI, ["asymptote", "--all-up-to", "4"], INERT, ["asymptotics", *ON_EVERY_PATH]),
+        (RUN_CLI, ["poles"], M_ANCHOR, POLE_PATH),
+        (RUN_CLI, ["asymptote", "--all-up-to", "4"], INERT, POLE_PATH),
         (RUN_CLI, ["curve", "--q", "5", "--h", "t^3+1", "--f", "t", "--d", "2"], None,
-         ["cli", "curves", "gf", "places", "qfuncs", "zeta"]),
+         sorted(["curves", *ON_EVERY_PATH])),
     ],
     ids=["import", "qpoly_factor", "submodule", "zeta", "zeta-malformed", "poles",
          "asymptote-genus1", "curve"],

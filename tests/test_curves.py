@@ -7,7 +7,8 @@ from heightzeta.curves import (
     frobenius_trace,
     splitting_type,
 )
-from heightzeta.gf import FqField, all_polys, monic_polys, poly_from_string
+from heightzeta.fqt import all_polys, monic_polys, poly_from_string
+from heightzeta.gf import FqField
 
 F3 = FqField(3)
 F5 = FqField(5)

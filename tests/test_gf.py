@@ -2,14 +2,11 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heightzeta.gf import (
-    FqField,
-    PolyFq,
+from heightzeta.fqt import (
     RatFuncFq,
-    _prime_divisors,
     all_polys,
     irreducibles_up_to,
     monic_polys,
@@ -19,6 +16,7 @@ from heightzeta.gf import (
     ratfunc_from_poly,
     residue_square_class,
 )
+from heightzeta.gf import FqField, PolyFq, _prime_divisors
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -374,6 +372,25 @@ def test_ratfunc_arithmetic_and_phi_evaluation():
     assert (a + b) - b == a
     assert (a * b) / b == a
     assert a * a.inverse() == ratfunc_from_poly(F5.poly_one())
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_compose_power_plus_equals_the_reduced_sum(data):
+    field = data.draw(st.sampled_from([F2, F3, F4, F5, F9]), label="field")
+
+    def poly(max_degree):
+        return PolyFq(field, data.draw(st.lists(st.integers(0, field.q - 1), max_size=max_degree + 1)))
+
+    # a factor that f and the denominator of x may share, so that gcd(f, b^d) is often not 1
+    shared = poly(2)
+    if shared.is_zero():
+        shared = field.poly_one()
+    den, f = poly(2) * shared, poly(2) * shared
+    assume(not den.is_zero() and not f.is_zero())
+    x = RatFuncFq(poly(3), den)
+    d = data.draw(st.integers(max(2, f.degree + 1), f.degree + 3))  # v(f) <= deg f < d
+    assert ratfunc_compose_power_plus(x, d, f) == x.pow_(d) + ratfunc_from_poly(f).inverse()
 
 
 def test_poly_text_round_trip():

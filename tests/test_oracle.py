@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import heightzeta.oracle as oracle
-from heightzeta.gf import FqField, PolyFq, all_polys, irreducibles_up_to, monic_polys, poly_from_string
+from heightzeta.fqt import all_polys, irreducibles_up_to, monic_polys, poly_from_string
+from heightzeta.gf import FqField, PolyFq
 from heightzeta.oracle import (
     BudgetExceeded,
     count_canonical_heights,
@@ -115,7 +116,7 @@ def test_scaling_symmetry_divisibility():
     for q, f_text, d in [(3, "t", 2), (5, "t+1", 2), (5, "t^2+t", 3)]:
         field = FqField(q)
         phi = validate_phi(poly_from_string(field, f_text), d)
-        from heightzeta.gf import RatFuncFq
+        from heightzeta.fqt import RatFuncFq
         from heightzeta.places import canonical_height_exp
 
         zero_m = canonical_height_exp(RatFuncFq(field.poly(()), field.poly_one()), phi)

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from heightzeta.gf import FqField, PolyFq, RatFuncFq, poly_from_string, ratfunc_from_poly
+from heightzeta.fqt import RatFuncFq, poly_from_string, ratfunc_from_poly
+from heightzeta.gf import FqField, PolyFq
 from heightzeta.places import (
     Place,
     canonical_height_exp,

@@ -8,26 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightzeta.asymptotics import build_report, predicted_coefficients, remainder_check
-from heightzeta.qfuncs import (
+from heightzeta.poles import (
     NumberFieldElem,
     PoleRecord,
-    QPoly,
-    QRatFunc,
-    _cyclotomic,
-    _euclid_gcd,
     _roots,
-    _totients_up_to,
     exponent_gcd_normalize,
     laurent_at_pole,
     orbit_contribution,
     orbit_contributions,
-    poly_str,
     principal_part_remainder,
-    qpoly_factor,
-    series_coefficients,
     split_principal_parts,
     unit_disk_poles,
 )
+from heightzeta.qfuncs import QPoly, QRatFunc, _euclid_gcd, poly_str, series_coefficients
+from heightzeta.zfactor import _cyclotomic, _totients_up_to, qpoly_factor
 
 
 def R(num, den=(1,)):

@@ -1,9 +1,11 @@
+import time
 from itertools import combinations
 
 import pytest
 
 from heightzeta.curves import affine_point_count, cubic_discriminant, frobenius_trace
-from heightzeta.gf import FqField, all_polys, irreducibles_up_to, poly_from_string
+from heightzeta.fqt import all_polys, irreducibles_up_to, poly_from_string
+from heightzeta.gf import FqField
 from heightzeta.oracle import count_canonical_heights
 from heightzeta.places import BadPlace
 from heightzeta.qfuncs import QPoly, QRatFunc, series_coefficients
@@ -330,5 +332,17 @@ def test_bad_places_beyond_the_place_count_are_refused():
         spec(2, 1, [1, 1, 1, 1], trace=0)
     with pytest.raises(ValueError, match="4 bad places of degree 2.* only 3 places of degree 2"):
         spec(2, 1, [2] * 4, trace=0)
-    # a large degree is admitted by the Hasse-Weil bound without counting
-    spec(2, 1, [10**9] * 3, trace=2)
+    # the largest admitted genus-1 degree passes the Hasse-Weil bound without counting
+    spec(2, 1, [128] * 3, trace=2)
+    with pytest.raises(ValueError, match="f_v = 129 exceeds the supported maximum 128 for genus 1"):
+        spec(2, 1, [129] * 3, trace=2)
+
+
+@pytest.mark.parametrize("genus, trace", [(0, None), (1, 2)])
+def test_a_huge_residue_degree_is_refused_at_once(genus, trace):
+    # assemble_zeta on such a spec would compute q**f_v
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"f_v = {10**30} exceeds the supported maximum"):
+        ProblemSpec(q=5, genus=genus, d=2, bad_places=(BadPlace(f_v=10**30, vf=1),),
+                    frobenius_trace=trace)
+    assert time.perf_counter() - start < 1
