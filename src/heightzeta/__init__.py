@@ -35,6 +35,7 @@ _EXPORTS = {
         "CountTable",
         "count_canonical_heights",
         "count_region",
+        "count_regions",
         "cumulative_count",
         "enumerate_elements",
     ),

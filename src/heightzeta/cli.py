@@ -26,11 +26,20 @@ output early, as `| head` does.
 Only what reading a spec and `zeta` need is imported at module level;
 `asymptotics`, `oracle` and `curves` are imported inside the commands that
 use them, so a process compiles only the modules on its command's path.
+
+A command process (``python -m heightzeta.cli`` or the ``heightzeta``
+script, both through ``run``) calls ``gc.freeze()`` once the command is
+done.  The process is about to exit, and the interpreter's last cyclic
+collection then skips every object the process made: on a ``verify`` of a
+small spec that collection took about 8 ms of a 110 ms process.  ``main``
+freezes nothing, so a caller that runs commands in process keeps its
+collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -474,5 +483,13 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def run() -> int:
+    """The process entry point: ``main``, then a frozen heap for a quick exit."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

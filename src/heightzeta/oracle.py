@@ -41,23 +41,26 @@ F_p coordinates of the coefficients, and adding polynomials adds these
 digits mod p.  Counting g through all its codes, constant digit fastest,
 changes g at each step by the element whose digits are 1 at positions
 0..K, K being where the step carries.  So for any F_p-linear map L, L(g)
-changes by L of that element, a digit list computed once per walk, and its
-code follows digit by digit.  The sieve takes L(g) = pi*g, the proper
-multiples of an irreducible pi: it sets pi's own entry where it finds pi, and
-never walks an irreducible of the top degree n, which has no multiple left
-to visit.  The enumerate walk takes L(g) = g mod den, the residue of every
-numerator (and of every larger denominator, for the unit tables).
-Below deg den reduction is the identity, so a residue walk steps once per
-block of up to ``RESIDUE_BLOCK`` codes and fills the block at C speed.
-Neither builds a polynomial per step, and prime and extension fields share
-the walk.
+changes by L of that element, computed once per walk.  In characteristic 2
+(F_2, F_4, F_8, ...) a digit is a bit and adding digits is XOR, so that
+element is one int and a step is one ``code ^= step``.  For odd p no int
+operation adds base-p digits, and the code follows digit by digit.  The
+sieve takes L(g) = pi*g, the proper multiples of an irreducible pi: it sets
+pi's own entry where it finds pi, and never walks an irreducible of the top
+degree n, which has no multiple left to visit.  The enumerate walk takes
+L(g) = g mod den, the residue of every numerator (and of every larger
+denominator, for the unit tables).  Below deg den reduction is the
+identity, so a residue walk steps once per block of up to
+``RESIDUE_BLOCK`` codes and fills the block at C speed.  Neither builds a
+polynomial per step, and prime and extension fields share the walk.
 
 Both strategies fill one tally, {(h, mask): #x}: h is the standard height
 exponent and bit i of mask is set when v(x) < 0 at bad place i.  An
 element's canonical height exponent m = d*h + sum of f_v*v(f) over the bad
 places with v(x) >= 0, and its region D_T is the one whose T is the
-complement of its mask, so both public counters are projections of the
-tally; the strategy only decides how the tally is filled.
+complement of its mask, so the public counters are projections of the
+tally (``count_regions`` gives every region from one); the strategy only
+decides how the tally is filled.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, islice, repeat, zip_longest
-from operator import add, not_
+from itertools import accumulate, chain, compress, islice, repeat, zip_longest
+from operator import add, not_, xor
 
 from . import gf
 from .fqt import RatFuncFq, all_polys, monic_polys
@@ -77,6 +80,7 @@ from .places import PhiSpec
 DEFAULT_BUDGET = 10**8
 RESIDUE_BLOCK = 64  # most residues a walk step of ``_residue_codes`` covers
 COLUMN_BYTES = 2**20  # most coprimality flags ``_unit_tables`` holds at once
+_BINARY = bytes.maketrans(b"\0\1", b"01")  # base-2 digits as the text int(_, 2) reads
 
 
 class BudgetExceeded(RuntimeError):
@@ -147,15 +151,19 @@ def _digits(field: FqField, coeffs, size: int) -> list[int]:
 
 
 def _counter_steps(p: int, images):
-    """Per carry position K: the nonzero digits of the image of the counter step.
+    """Per carry position K: the image of the counter step, ready for ``_affine_codes``.
 
     A counter step carried through base-p position K = k*e + r adds to the
     counted polynomial the element whose digits are 1 at positions 0..K.
     ``images[K]`` lists the digits of a linear map's image of y^r*t^k (y^r
     is the code p^r), so the step's image is the digitwise sum of images[0..K].
-    Each digit i with value w comes as (i, w, w*p^i, (w - p)*p^i): what the
-    code gains when the digit does not, or does, wrap past p - 1.
+    For p = 2 that sum is the XOR of the images' bit patterns, one int per K.
+    For odd p each digit i with value w comes as (i, w, w*p^i, (w - p)*p^i):
+    what the code gains when the digit does not, or does, wrap past p - 1.
     """
+    if p == 2:
+        return list(accumulate((int(bytes(image[::-1]).translate(_BINARY), 2)
+                                for image in images), xor))
     steps, acc = [], []
     for image in images:
         acc = [(a + b) % p for a, b in zip_longest(acc, image, fillvalue=0)]
@@ -164,12 +172,21 @@ def _counter_steps(p: int, images):
 
 
 def _affine_codes(p: int, digits: list[int], code: int, steps, carries):
-    """Yield ``code``, then the code after adding steps[K] for each K in ``carries``.
+    """Iterate ``code``, then the code after adding steps[K] for each K in ``carries``.
 
-    ``digits`` are the base-p digits of ``code`` and change in place; each
-    step adds digits mod p and moves the code by each changed digit's gain,
-    so no polynomial is built.
+    For p = 2 adding is XOR, and each step is one ``code ^= steps[K]``, at
+    C speed.  For odd p no int operation adds base-p digits: ``digits``, the
+    base-p digits of ``code``, change in place, and each step adds digits
+    mod p and moves the code by each changed digit's gain.  No polynomial is
+    built.
     """
+    if p == 2:
+        return accumulate(map(steps.__getitem__, carries), xor, initial=code)
+    return _digit_codes(p, digits, code, steps, carries)
+
+
+def _digit_codes(p: int, digits: list[int], code: int, steps, carries):
+    """``_affine_codes`` for odd p, one changed digit at a time."""
     yield code
     for k in carries:
         for i, w, up, down in steps[k]:
@@ -463,21 +480,32 @@ def count_canonical_heights(
     return CountTable(q=phi.field.q, d=d, counts=counts, max_m=m_max)
 
 
-def count_region(phi: PhiSpec, t_set, h_max: int, method: str = "fast") -> CountTable:
-    """Standard-height histogram of the region D_T for T a set of bad indices.
+def count_regions(phi: PhiSpec, h_max: int, method: str = "fast") -> dict[frozenset, CountTable]:
+    """Standard-height histograms of the regions D_T from one tally: T -> table.
 
     D_T requires v(x) >= 0 at the bad places indexed by T and v(x) < 0 at
-    the others: the tally's entries whose mask is the complement of T.
+    the others: the tally's entries whose mask is the complement of T.  Only
+    the regions with a point of height exponent <= ``h_max`` have an entry;
+    every other region's table is empty.
     """
-    bad = phi.bad_places
+    k = len(phi.bad_places)
+    counts: dict[int, dict[int, int]] = {}
+    for (h, mask), c in _tally(phi.field, h_max, phi.bad_places, method).items():
+        counts.setdefault(mask, {})[h] = c
+    return {frozenset(i for i in range(k) if not mask >> i & 1):
+            CountTable(q=phi.field.q, d=phi.d, counts=cs, max_m=h_max)
+            for mask, cs in counts.items()}
+
+
+def count_region(phi: PhiSpec, t_set, h_max: int, method: str = "fast") -> CountTable:
+    """Standard-height histogram of D_T, T a set of bad indices: one ``count_regions`` table."""
+    k = len(phi.bad_places)
     t_set = frozenset(t_set)
-    stray = t_set - frozenset(range(len(bad)))
+    stray = t_set - frozenset(range(k))
     if stray:
-        raise ValueError(f"bad-place indices {sorted(stray, key=repr)} are not in range({len(bad)})")
-    want = sum(1 << i for i in range(len(bad)) if i not in t_set)
-    tally = _tally(phi.field, h_max, bad, method)
-    counts = {h: c for (h, mask), c in tally.items() if mask == want}
-    return CountTable(q=phi.field.q, d=phi.d, counts=counts, max_m=h_max)
+        raise ValueError(f"bad-place indices {sorted(stray, key=repr)} are not in range({k})")
+    empty = CountTable(q=phi.field.q, d=phi.d, counts={}, max_m=h_max)
+    return count_regions(phi, h_max, method).get(t_set, empty)
 
 
 def cumulative_count(phi: PhiSpec, k: int) -> int:

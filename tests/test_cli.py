@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -323,6 +324,47 @@ def test_closed_output_pipe_exits_141_quietly(tmp_path):
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def _script_target():
+    """The (module, function) that pyproject.toml's ``heightzeta`` script runs."""
+    pyproject = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    target = next(line.split("=", 1)[1].strip().strip('"') for line in pyproject.splitlines()
+                  if line.startswith("heightzeta ="))
+    return target.split(":")
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("spec, status", [(G0, 0), ({"q": 6, "genus": 0, "d": 2, "f": "t"}, 2)],
+                         ids=["ok", "refused"])
+def test_a_command_process_freezes_its_heap_before_exit(tmp_path, entry, spec, status):
+    # gc.freeze prints a marker; it must come after the command's output, in both entry paths
+    module, function = _script_target()
+    start = ("runpy.run_module('heightzeta.cli', run_name='__main__')" if entry == "module"
+             else f"sys.exit(importlib.import_module({module!r}).{function}())")
+    code = (
+        "import gc, importlib, runpy, sys\n"
+        "freeze = gc.freeze\n"
+        "gc.freeze = lambda: (print('frozen'), freeze())\n"
+        "sys.argv[0] = 'heightzeta'\n"
+        f"{start}\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", code, "zeta", "--spec", _write(tmp_path, "s.json", spec),
+         "--format", "json"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == status
+    lines = run.stdout.splitlines()
+    assert lines[-1] == "frozen" and lines.count("frozen") == 1
+    if status == 0:
+        assert json.loads("\n".join(lines[:-1]))["q"] == 5
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    assert main(["zeta", "--spec", _write(tmp_path, "s.json", G0), "--format", "json"]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_poles_share_the_exact_modulus_real_part(tmp_path, capsys):

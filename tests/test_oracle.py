@@ -13,6 +13,7 @@ from heightzeta.oracle import (
     BudgetExceeded,
     count_canonical_heights,
     count_region,
+    count_regions,
     cumulative_count,
     enumerate_elements,
     enumeration_size,
@@ -24,6 +25,7 @@ F2 = FqField(2)
 F3 = FqField(3)
 F4 = FqField(2, 2, (1, 1, 1))
 F5 = FqField(5)
+F8 = FqField(2, 3, (1, 1, 0, 1))
 F9 = FqField(3, 2, (1, 0, 1))
 
 
@@ -141,10 +143,9 @@ def test_region_counts_and_partition(field, method):
     assert count_region(phi, set(), 1, method=method).counts == {1: (q - 1) * q}
     assert count_region(phi, {0}, 1, method=method).counts == {0: q, 1: q**3 - q - (q - 1) * q}
     # regions partition all elements of each height: q^(2h+1) - q^(2h-1) of height h >= 1
-    total = {}
-    for t_set in [set(), {0}]:
-        for h, c in count_region(phi, t_set, 2, method=method).counts.items():
-            total[h] = total.get(h, 0) + c
+    total = Counter()
+    for table in count_regions(phi, 2, method=method).values():
+        total.update(table.counts)
     assert total == {0: q, 1: q**3 - q, 2: q**5 - q**3}
 
 
@@ -158,13 +159,32 @@ def test_region_shift_reconciliation(field, method):
     h_max = 2
     canonical = count_canonical_heights(phi, d * h_max, method=method)
     rebuilt = {}
-    for t_set in [(), (0,), (1,), (0, 1)]:
+    for t_set, table in count_regions(phi, h_max, method=method).items():
         shift = sum(phi.bad_places[i].f_v * phi.bad_places[i].vf for i in t_set)
-        for h, c in count_region(phi, t_set, h_max, method=method).counts.items():
+        for h, c in table.counts.items():
             m = d * h + shift
             rebuilt[m] = rebuilt.get(m, 0) + c
     for m in range(d * h_max + 1):
         assert rebuilt.get(m, 0) == canonical[m]
+
+
+@REGION_CASES
+def test_count_regions_projects_one_tally(field, method):
+    # every region's table is count_region's, and together they count every x by height
+    phi = validate_phi(poly_from_string(field, "t^2+t"), 2)
+    h_max = 2
+    regions = count_regions(phi, h_max, method=method)
+    assert set(regions) <= {frozenset(t) for t in [(), (0,), (1,), (0, 1)]}
+    for r in range(3):
+        for t_set in combinations(range(2), r):
+            table = count_region(phi, t_set, h_max, method=method)
+            assert table == regions.get(frozenset(t_set), table)
+            assert (frozenset(t_set) in regions) == bool(table.counts)
+    standard = Counter(standard_height_exp(x) for x in enumerate_elements(field, h_max))
+    total = Counter()
+    for table in regions.values():
+        total.update(table.counts)
+    assert total == standard
 
 
 def test_cumulative_count_examples():
@@ -253,14 +273,15 @@ def _assert_sieve_matches_factorization(field, n, bad):
 
 
 @pytest.mark.parametrize(
-    "field, n", [(F2, 8), (F3, 5), (F5, 4), (F4, 3), (F9, 3)], ids=lambda x: getattr(x, "q", x)
+    "field, n", [(F2, 8), (F3, 5), (F5, 4), (F4, 3), (F8, 3), (F9, 3)],
+    ids=lambda x: getattr(x, "q", x),
 )
 def test_sieve_matches_factorization(field, n):
     _assert_sieve_matches_factorization(field, n, _bad_places(field))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9], ids=lambda f: f.q)
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F8, F9], ids=lambda f: f.q)
 def test_sieve_sets_the_bit_of_a_bad_place_of_degree_n(field, n):
     # the sieve walks no irreducible of degree n, yet must still mark one that is bad
     top = [pi for pi in monic_polys(field, n) if pi.is_irreducible()]
@@ -270,7 +291,7 @@ def test_sieve_sets_the_bit_of_a_bad_place_of_degree_n(field, n):
 
 
 F7 = FqField(7)
-SIEVE_FIELDS = {2: (F2, 6), 3: (F3, 4), 4: (F4, 3), 5: (F5, 3), 7: (F7, 2), 9: (F9, 2)}
+SIEVE_FIELDS = {2: (F2, 6), 3: (F3, 4), 4: (F4, 3), 5: (F5, 3), 7: (F7, 2), 8: (F8, 2), 9: (F9, 2)}
 
 
 @lru_cache(maxsize=None)
@@ -308,12 +329,7 @@ def test_fast_and_enumerate_agree_over_extension_fields(field, lin, quad, d, n):
     fast = count_canonical_heights(phi, m_max, method="fast")
     slow = count_canonical_heights(phi, m_max, method="enumerate")
     assert fast.counts == slow.counts
-    k = len(phi.bad_places)
-    for r in range(k + 1):
-        for t_set in combinations(range(k), r):
-            fast = count_region(phi, t_set, n, method="fast")
-            slow = count_region(phi, t_set, n, method="enumerate")
-            assert fast.counts == slow.counts, t_set
+    assert count_regions(phi, n, method="fast") == count_regions(phi, n, method="enumerate")
 
 
 def _reference_elements(field, n):
@@ -357,21 +373,19 @@ def test_enumerate_counts_equal_the_definitional_tally(q, coeffs, lead, d, size,
     expected = {m: c for m, c in heights.items() if m <= m_max}
     assert count_canonical_heights(phi, m_max, method="enumerate").counts == expected
     assert count_canonical_heights(phi, m_max, method="fast").counts == expected
-    bad = phi.bad_places
-    for r in range(len(bad) + 1):
-        for t_set in combinations(range(len(bad)), r):
-            # x is in D_T when exactly the bad places outside T divide its denominator
-            region = Counter(
-                standard_height_exp(x) for x in elements
-                if all((x.den % bp.pi).is_zero() != (i in t_set) for i, bp in enumerate(bad))
-            )
-            assert count_region(phi, t_set, n, method="enumerate").counts == dict(region)
-            assert count_region(phi, t_set, n, method="fast").counts == dict(region)
+    # x is in D_T when exactly the bad places outside T divide its denominator
+    regions: dict = {}
+    for x in elements:
+        t_set = frozenset(i for i, bp in enumerate(phi.bad_places) if not (x.den % bp.pi).is_zero())
+        regions.setdefault(t_set, Counter())[standard_height_exp(x)] += 1
+    for method in ("enumerate", "fast"):
+        tables = count_regions(phi, n, method=method)
+        assert {t_set: table.counts for t_set, table in tables.items()} == regions
 
 
 @settings(max_examples=60)
 @given(
-    field=st.sampled_from([F2, F3, F4, F5, F9]),
+    field=st.sampled_from([F2, F3, F4, F5, F8, F9]),
     coeffs=st.lists(st.integers(0, 8), max_size=4),
 )
 @example(field=F9, coeffs=[5, 7, 1, 0])  # early in the degree-4 walk, which builds every column
@@ -387,7 +401,36 @@ def test_unit_table_matches_gcd(field, coeffs):
 @pytest.mark.parametrize("column_bytes", [1, 50])
 def test_unit_tables_do_not_depend_on_the_column_budget(monkeypatch, column_bytes):
     # a small budget splits each degree's denominators into runs, down to one per run
-    cases = [(F3, 3), (F4, 3), (F5, 2)]
+    cases = [(F3, 3), (F4, 3), (F5, 2), (F8, 2)]
     expected = [list(oracle._unit_tables(field, n)) for field, n in cases]
     monkeypatch.setattr(oracle, "COLUMN_BYTES", column_bytes)
     assert [list(oracle._unit_tables(field, n)) for field, n in cases] == expected
+
+
+def _digit_walk(p, digits, images, carries):
+    """Reference walk: add images[0..K] to the digits one digit at a time, mod p."""
+    digits = list(digits)
+    codes = [sum(w * p**i for i, w in enumerate(digits))]
+    for k in carries:
+        for image in images[: k + 1]:
+            for i, w in enumerate(image):
+                digits[i] = (digits[i] + w) % p
+        codes.append(sum(w * p**i for i, w in enumerate(digits)))
+    return codes
+
+
+@settings(max_examples=80)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    size=st.integers(1, 12),
+    data=st.data(),
+)
+def test_a_counter_walk_adds_the_step_images_digit_by_digit(p, size, data):
+    # for p = 2 a step is one XOR of the prefix XOR of the images; the reference adds digits
+    digit = st.integers(0, p - 1)
+    digits = data.draw(st.lists(digit, min_size=size, max_size=size))
+    images = data.draw(st.lists(st.lists(digit, min_size=1, max_size=size), min_size=1, max_size=6))
+    carries = data.draw(st.lists(st.integers(0, len(images) - 1), max_size=40))
+    code = sum(w * p**i for i, w in enumerate(digits))
+    walk = oracle._affine_codes(p, list(digits), code, oracle._counter_steps(p, images), carries)
+    assert list(walk) == _digit_walk(p, digits, images, carries)
