@@ -41,10 +41,12 @@ F_p coordinates of the coefficients, and adding polynomials adds these
 digits mod p.  Counting g through all its codes, constant digit fastest,
 changes g at each step by the element whose digits are 1 at positions
 0..K, K being where the step carries.  So for any F_p-linear map L, L(g)
-changes by L of that element, computed once per walk.  In characteristic 2
-(F_2, F_4, F_8, ...) a digit is a bit and adding digits is XOR, so that
-element is one int and a step is one ``code ^= step``.  For odd p no int
-operation adds base-p digits, and the code follows digit by digit.  The
+changes by L of that element, computed once per walk from the codes of
+L(y^r*t^k) (``_counter_steps``); every step image is a code from the start.
+In characteristic 2 (F_2, F_4, F_8, ...) a digit is a bit and adding digits
+is XOR, so that element is one int and a step is one ``code ^= step``.  For
+odd p no int operation adds base-p digits, and the code follows digit by
+digit; digits are read only for this odd-p stepper, each image's once.  The
 sieve takes L(g) = pi*g, the proper multiples of an irreducible pi: it sets
 pi's own entry where it finds pi, and never walks an irreducible of the top
 degree n, which has no multiple left to visit.  The enumerate walk takes
@@ -69,7 +71,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, compress, islice, repeat, zip_longest
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, not_, xor
 
 from . import gf
@@ -80,7 +82,6 @@ from .places import PhiSpec
 DEFAULT_BUDGET = 10**8
 RESIDUE_BLOCK = 64  # most residues a walk step of ``_residue_codes`` covers
 COLUMN_BYTES = 2**20  # most coprimality flags ``_unit_tables`` holds at once
-_BINARY = bytes.maketrans(b"\0\1", b"01")  # base-2 digits as the text int(_, 2) reads
 
 
 class BudgetExceeded(RuntimeError):
@@ -137,17 +138,14 @@ def _ruler(p: int, m: int) -> list[int]:
     return seq
 
 
-def _digits(field: FqField, coeffs, size: int) -> list[int]:
-    """Base-p digits of a coefficient list padded to ``size`` F_q codes, e digits each.
+def _digits(p: int, code: int, size: int) -> list[int]:
+    """The ``size`` lowest base-p digits of a code, lowest first.
 
-    Their base-p value is the polynomial's code, and adding two polynomials
-    adds their digits mod p, one by one.
+    A polynomial's code is a base-p number whose digits are the F_p
+    coordinates of its coefficients, and adding two polynomials adds their
+    digits mod p, one by one.
     """
-    cs = list(coeffs) + [0] * (size - len(coeffs))
-    if field.e == 1:
-        return cs
-    p = field.p
-    return [c // p**s % p for c in cs for s in range(field.e)]
+    return [code // p**i % p for i in range(size)]
 
 
 def _counter_steps(p: int, images):
@@ -155,18 +153,24 @@ def _counter_steps(p: int, images):
 
     A counter step carried through base-p position K = k*e + r adds to the
     counted polynomial the element whose digits are 1 at positions 0..K.
-    ``images[K]`` lists the digits of a linear map's image of y^r*t^k (y^r
-    is the code p^r), so the step's image is the digitwise sum of images[0..K].
-    For p = 2 that sum is the XOR of the images' bit patterns, one int per K.
-    For odd p each digit i with value w comes as (i, w, w*p^i, (w - p)*p^i):
-    what the code gains when the digit does not, or does, wrap past p - 1.
+    ``images[K]`` is the code of a linear map's image of y^r*t^k (y^r is the
+    code p^r), so the step's image is the digitwise sum of images[0..K].
+    For p = 2 that sum is the XOR of the codes, one int per K, and no digit
+    is read.  For odd p each code's digits are read once, and each digit i
+    of the sum with value w comes as (i, w, w*p^i, (w - p)*p^i): what the
+    code gains when the digit does not, or does, wrap past p - 1.
     """
     if p == 2:
-        return list(accumulate((int(bytes(image[::-1]).translate(_BINARY), 2)
-                                for image in images), xor))
+        return list(accumulate(images, xor))
     steps, acc = [], []
     for image in images:
-        acc = [(a + b) % p for a, b in zip_longest(acc, image, fillvalue=0)]
+        i = 0
+        while image:
+            image, w = divmod(image, p)
+            if i == len(acc):
+                acc.append(0)
+            acc[i] = (acc[i] + w) % p
+            i += 1
         steps.append([(i, w, w * p**i, (w - p) * p**i) for i, w in enumerate(acc) if w])
     return steps
 
@@ -222,25 +226,24 @@ def _residue_codes(field: FqField, mod, start, size: int):
 
     g runs in code order.  Reduction mod ``mod`` is F_p-linear, so the codes
     come from a counter walk (``_affine_codes``) whose steps add the
-    precomputed digits of y^r t^k mod ``mod``; nothing is divided per step.
+    precomputed codes of y^r t^k mod ``mod``; nothing is divided per step.
     The walk steps only through g's base-p digits from position j on: the
     j lowest are below deg ``mod``, where reduction is the identity, so the
     p^j codes under each step are that step's code with its low j digits
     translated by every g_low (``_translations``), at C speed.
     """
-    p, e, b = field.p, field.e, mod.degree
+    p, e, q, b = field.p, field.e, field.q, mod.degree
     if b == 0:
-        return repeat(0, field.q**size)  # mod 1 every residue is 0
-    # y^r t^k is its own residue below deg mod
-    images = [_digits(field, (0,) * k + (p**r,) if k < b
-                      else (gf.PolyFq(field, (0,) * k + (p**r,)) % mod).coeffs, b)
+        return repeat(0, q**size)  # mod 1 every residue is 0
+    # y^r t^k is its own residue below deg mod, with code p^r q^k
+    images = [p**r * q**k if k < b else _code(field, gf.PolyFq(field, (0,) * k + (p**r,)) % mod)
               for k in range(size) for r in range(e)]
     j = 0
     while j < min(b, size) * e and p ** (j + 1) <= RESIDUE_BLOCK:
         j += 1
     low, trans = p**j, _translations(p, j)
-    rem = start % mod
-    codes = _affine_codes(p, _digits(field, rem.coeffs, b), _code(field, rem),
+    rem = _code(field, start % mod)
+    codes = _affine_codes(p, _digits(p, rem, b * e), rem,
                           _counter_steps(p, images[j:]), _ruler(p, size * e - j))
     return chain.from_iterable(map(add, trans[c % low], repeat(c - c % low)) for c in codes)
 
@@ -358,9 +361,9 @@ def _sieve(field: FqField, n: int, bad_places):
 
     The multiples pi*g of degree b + j, j >= 1, are visited as codes only, in
     the counter order of g: the first is pi*t^j, whose code is pi's times q^j,
-    and each counter step of g adds the precomputed digits of pi times that
-    step (``_affine_codes``).  No product is multiplied out and no
-    polynomial object is built.
+    and each counter step of g adds pi times that step, precomputed from the
+    codes of y^r*pi*t^k (``_counter_steps``, ``_affine_codes``).  No product
+    is multiplied out and no polynomial object is built.
     """
     q, p, e = field.q, field.p, field.e
     bits = {_code(field, bp.pi): 1 << i for i, bp in enumerate(bad_places)}
@@ -377,13 +380,11 @@ def _sieve(field: FqField, n: int, bad_places):
             bit = row_m[c] = bits.get(qb + c, 0)
             if b == n:
                 continue  # no multiple of higher degree to visit
-            pi = [c // q**i % q for i in range(b)] + [1]
-            # digits of y^r * pi for the e codes y^r = p^r; over a prime field just pi
-            scaled = [pi] if e == 1 else [_digits(field, [field.mul(p**r, a) for a in pi], b + 1)
-                                          for r in range(e)]
-            low = scaled[0][:-e]  # pi without its leading 1
-            steps = _counter_steps(p, [[0] * (k * e) + scaled[r]
-                                       for k in range(n - b) for r in range(e)])
+            # codes of y^r * pi for the e codes y^r = p^r; over a prime field just pi's
+            scaled = [qb + c] if e == 1 else [sum(field.mul(p**r, (qb + c) // q**i % q) * q**i
+                                                  for i in range(b + 1)) for r in range(e)]
+            steps = _counter_steps(p, [s * q**k for k in range(n - b) for s in scaled])
+            low = _digits(p, c, b * e)  # the digits of pi without its leading 1
             for j in range(1, n - b + 1):
                 row_uj, row_mj = units[b + j], masks[b + j]
                 for code in _affine_codes(p, [0] * (j * e) + low, c * q**j, steps,

@@ -119,10 +119,12 @@ def local_correction_num(x: RatFuncFq, bp: BadPlace) -> int:
 
     Returns f_v * v(f) when v(x) >= 0 (including x = 0) and 0 otherwise;
     this is d*(local canonical height - local standard height)/log q.
+    Canonical parts are coprime, so pi divides the denominator exactly when
+    v(x) < 0: no order is computed.
     """
     if bp.pi is None:
         raise ValueError("local correction needs a concrete place")
-    if valuation(x, Place(bp.pi)) >= 0:
+    if x.is_zero() or not (x.den % bp.pi).is_zero():
         return bp.f_v * bp.vf
     return 0
 

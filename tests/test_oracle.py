@@ -426,11 +426,29 @@ def _digit_walk(p, digits, images, carries):
     data=st.data(),
 )
 def test_a_counter_walk_adds_the_step_images_digit_by_digit(p, size, data):
-    # for p = 2 a step is one XOR of the prefix XOR of the images; the reference adds digits
+    # the walk takes each image as its code; for p = 2 a step is one XOR of the prefix XOR
+    # of the codes, and the reference adds the images' digits one by one
     digit = st.integers(0, p - 1)
     digits = data.draw(st.lists(digit, min_size=size, max_size=size))
     images = data.draw(st.lists(st.lists(digit, min_size=1, max_size=size), min_size=1, max_size=6))
     carries = data.draw(st.lists(st.integers(0, len(images) - 1), max_size=40))
     code = sum(w * p**i for i, w in enumerate(digits))
-    walk = oracle._affine_codes(p, list(digits), code, oracle._counter_steps(p, images), carries)
+    codes = [sum(w * p**i for i, w in enumerate(image)) for image in images]
+    walk = oracle._affine_codes(p, list(digits), code, oracle._counter_steps(p, codes), carries)
     assert list(walk) == _digit_walk(p, digits, images, carries)
+
+
+@settings(max_examples=80)
+@given(
+    field=st.sampled_from([F2, F3, F4, F5, F9]),
+    mod_low=st.lists(st.integers(0, 8), max_size=3),
+    start=st.lists(st.integers(0, 8), max_size=5),
+    size=st.integers(0, 3),
+)
+def test_residue_codes_list_the_residues_of_start_plus_every_g(field, mod_low, start, size):
+    # the codes of (start + g) mod mod for g of degree < size in code order; start mod mod at 0
+    q = field.q
+    mod = PolyFq(field, [c % q for c in mod_low] + [1])
+    start = PolyFq(field, [c % q for c in start])
+    expected = [oracle._code(field, (start + g) % mod) for g in all_polys(field, size - 1)]
+    assert list(oracle._residue_codes(field, mod, start, size)) == expected
