@@ -484,7 +484,13 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """The process entry point: ``main``, then a frozen heap for a quick exit."""
+    """The process entry point: ``main``, then a frozen heap for a quick exit.
+
+    The process prints integers of any length: a main term at a large bound
+    exponent has more digits than CPython's default string-conversion limit.
+    """
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return main()
     finally:

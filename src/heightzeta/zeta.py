@@ -7,20 +7,18 @@ the full zeta function
          + c(g)/zeta_K(s) * prod_v (u_v^(v(f)) - u_v^d)/(1 - u_v^d),
 
 with u_v = w^(f_v), x = q^(-s) = w^d, c(0) = 0 and c(1) = q - 1, over base
-fields of genus 0 or 1.  The standard-height zetas of the regions cut out
-by the bad places (all v(x) >= 0 on U, or the exact sign pattern given by T)
-are the same two global terms times one local factor per constrained place:
-with y = q_v^(-s), (1 - q_v*y)/(1 - y) and 1/(1 - y) where v(x) >= 0, and
-(q_v - 1)*y/(1 - y) and -y/(1 - y) where v(x) < 0.  The disjoint-union
-identity tying them to Z is checked symbolically.  Using one variable for
-everything eliminates substitution mistakes: every object here multiplies
-and reduces in Q(w).
+fields of genus 0 or 1.  The standard-height zeta of each region cut out by
+the bad places is the same two global terms times one local factor per
+constrained place (_local_factors).  The disjoint-union identity tying the
+regions to Z is checked symbolically, with the sum over regions expanded
+into one product per global term.  Using one variable for everything
+eliminates substitution mistakes: every object here multiplies and reduces
+in Q(w).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 
 from .gf import MAX_TEXT_DEGREE, FqField, PolyFq, _prime_divisors
 from .places import BadPlace, PhiSpec, validate_phi
@@ -250,50 +248,56 @@ def assemble_zeta(spec: ProblemSpec) -> ZetaClosedForm:
     )
 
 
-def _region_zeta(spec: ProblemSpec, inside, outside) -> QRatFunc:
-    """Standard-height zeta of {x : v(x) >= 0 on inside, v(x) < 0 on outside}.
+def _local_factors(q_v: int, k: int, a: int | None, b: int | None) -> tuple[QPoly, QPoly]:
+    """A bad place's factors in the two global terms, as numerators over 1 - y.
 
-    inside and outside index into spec.bad_places.  The two global terms
-    q^(1-g) * zeta_K(s-1)/zeta_K(s) and c(g)/zeta_K(s) each take one local
-    factor per constrained place: with y = w^(d*f_v) = q_v^(-s), v(x) >= 0
-    gives (1 - q_v*y)/(1 - y) and 1/(1 - y), and v(x) < 0 gives their
-    complements (q_v - 1)*y/(1 - y) and -y/(1 - y).
+    With y = w^k = q_v^(-s), v(x) >= 0 gives 1 - q_v*y in the main term and 1
+    in the c(g) term, and v(x) < 0 their complements (q_v - 1)*y and -y.  The
+    numerators are w^a times the first plus w^b times the second; None weighs 0.
+    """
+    size = k + 1 + (a or 0) + (b or 0)
+    main, tail = [0] * size, [0] * size
+    if a is not None:
+        main[a] += 1
+        main[a + k] -= q_v
+        tail[a] += 1
+    if b is not None:
+        main[b + k] += q_v - 1
+        tail[b + k] -= 1
+    return QPoly(main), QPoly(tail)
+
+
+def _region_zeta(spec: ProblemSpec, weights: dict) -> QRatFunc:
+    """Weighted standard-height zeta of the regions cut out by the bad places.
+
+    weights maps a bad-place index to the w-exponents (a, b) of its
+    _local_factors: (0, None) keeps v(x) >= 0 and (None, 0) keeps v(x) < 0.
+    A place left out is unconstrained: its two factors sum to 1.
     """
     q, d = spec.q, spec.d
-    inside = set(inside)
     integral = _zeta_ratio_w(spec).scale(q ** (1 - spec.genus))
     c = _c_of_genus(spec)
     tail = _inverse_zeta_w(spec).scale(c) if c else QRatFunc.zero()
-    for i in inside | set(outside):
+    for i, (a, b) in weights.items():
         bp = spec.bad_places[i]
-        k, qv = d * bp.f_v, q**bp.f_v
+        k = d * bp.f_v
         one_minus_y = QPoly([1] + [0] * (k - 1) + [-1])
-        if i in inside:
-            main_num, tail_num = [1] + [0] * (k - 1) + [-qv], [1]
-        else:
-            main_num, tail_num = [0] * k + [qv - 1], [0] * k + [-1]
-        integral = integral * QRatFunc(QPoly(main_num), one_minus_y)
-        tail = tail * QRatFunc(QPoly(tail_num), one_minus_y)
+        main_num, tail_num = _local_factors(q**bp.f_v, k, a, b)
+        integral = integral * QRatFunc(main_num, one_minus_y)
+        tail = tail * QRatFunc(tail_num, one_minus_y)
     return integral + tail if c else integral
 
 
 def partial_zeta_DU(spec: ProblemSpec, u_set) -> QRatFunc:
-    """Standard-height zeta of D(U) = {x : v(x) >= 0 for all v in U}.
-
-    u_set indexes into spec.bad_places; each place in U contributes its
-    v(x) >= 0 local factor, and the places off U are unconstrained.
-    """
-    return _region_zeta(spec, u_set, ())
+    """Standard-height zeta of D(U) = {x : v(x) >= 0 for all v in U}; U indexes bad_places."""
+    return _region_zeta(spec, {i: (0, None) for i in u_set})
 
 
 def partial_zeta_DT(spec: ProblemSpec, t_set) -> QRatFunc:
-    """Standard-height zeta of D_T (v(x) >= 0 exactly on T, < 0 off T within S).
-
-    Each bad place contributes one local factor: the v(x) >= 0 factor on T
-    and its complement, the v(x) < 0 factor, off T.
-    """
+    """Standard-height zeta of D_T (v(x) >= 0 exactly on T, < 0 off T within S)."""
     t_set = set(t_set)
-    return _region_zeta(spec, t_set, set(range(len(spec.bad_places))) - t_set)
+    return _region_zeta(spec, {i: (0, None) if i in t_set else (None, 0)
+                               for i in range(len(spec.bad_places))})
 
 
 class DecompositionResult:
@@ -309,15 +313,11 @@ def decomposition_check(spec: ProblemSpec) -> DecompositionResult:
     """Verify Z = sum over T of rho_T^(-s) * W(D_T, s) exactly in Q(w).
 
     rho_T^(-s) = prod_(v in T) w^(f_v * v(f)) is the canonical/standard height
-    ratio on the region D_T.
+    ratio on D_T, and W(D_T) takes each place's v(x) >= 0 factor in_v on T and
+    its v(x) < 0 factor out_v off T.  By distributivity the 2^n-term sum is,
+    per global term, prod_v (w^(f_v * v(f)) * in_v + out_v): n local factors.
     """
-    n = len(spec.bad_places)
-    total = QRatFunc.zero()
-    for r in range(n + 1):
-        for t_set in combinations(range(n), r):
-            shift = sum(spec.bad_places[i].f_v * spec.bad_places[i].vf for i in t_set)
-            w_shift = QRatFunc.from_poly(QPoly([0] * shift + [1]))
-            total = total + w_shift * partial_zeta_DT(spec, t_set)
+    total = _region_zeta(spec, {i: (bp.f_v * bp.vf, 0) for i, bp in enumerate(spec.bad_places)})
     combined = assemble_zeta(spec).combined
     diff = combined - total
     return DecompositionResult(ok=diff.is_zero(), assembled=combined, difference=diff)

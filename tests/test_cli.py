@@ -326,6 +326,20 @@ def test_closed_output_pipe_exits_141_quietly(tmp_path):
     proc.stderr.close()
 
 
+def test_a_main_term_past_the_integer_string_limit_prints(tmp_path):
+    # CPython refuses to print an int of more than 4300 digits unless the process lifts the cap
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    spec = {"q": 5, "genus": 0, "d": 2, "f": "t^2+t"}
+    run = subprocess.run(
+        [sys.executable, "-m", "heightzeta.cli", "asymptote", "--spec",
+         _write(tmp_path, "s.json", spec), "--bound-exponent", "6300", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    (row,) = json.loads(run.stdout)["rows"]
+    assert row["k"] == 6300 and len(row["main_term"]) > 4300
+
+
 def _script_target():
     """The (module, function) that pyproject.toml's ``heightzeta`` script runs."""
     pyproject = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()

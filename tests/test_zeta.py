@@ -1,7 +1,12 @@
 import time
 from itertools import combinations
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import heightzeta.zeta as zeta
 
 from heightzeta.curves import affine_point_count, cubic_discriminant, frobenius_trace
 from heightzeta.fqt import all_polys, irreducibles_up_to, poly_from_string
@@ -21,6 +26,7 @@ from heightzeta.zeta import (
     partial_zeta_DU,
     place_count,
 )
+from heightzeta.zeta import _trace_realizable
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -208,6 +214,102 @@ def test_decomposition_check_fuzz():
         result = decomposition_check(spec)
         assert result.ok, (q, f, d, result.difference)
         cases += 1
+
+
+def _literal_region_sum(spec):
+    """sum over T of w^(sum over T of f_v * v(f)) * W(D_T): the 2^n-term reference."""
+    n = len(spec.bad_places)
+    total = QRatFunc.zero()
+    for r in range(n + 1):
+        for t_set in combinations(range(n), r):
+            shift = sum(spec.bad_places[i].f_v * spec.bad_places[i].vf for i in t_set)
+            total = total + R([0] * shift + [1]) * partial_zeta_DT(spec, t_set)
+    return total
+
+
+def test_literal_region_sum_is_the_assembled_zeta(matrix_specs, inert_spec, split_spec,
+                                                  l_anchor_spec, xl_anchor_spec):
+    specs = [spec for spec, *_ in matrix_specs] + [inert_spec, split_spec, l_anchor_spec,
+                                                    xl_anchor_spec]
+    for spec in specs:
+        result = decomposition_check(spec)
+        assert result.ok and result.difference.is_zero()
+        assert _literal_region_sum(spec) == assemble_zeta(spec).combined == result.assembled
+
+
+def test_decomposition_check_d32(d32_spec):
+    # 8 bad places: the region sum has 256 terms
+    assert decomposition_check(d32_spec).ok
+
+
+def _mutated_local_factors(monkeypatch, term):
+    """Replace the v(x) < 0 factor of one global term with a wrong one.
+
+    main: (q_v - 1)*y becomes q_v*y; correction: -y becomes +y.
+    """
+    real = zeta._local_factors
+
+    def local_factors(q_v, k, a, b):
+        main, tail = real(q_v, k, a, b)
+        if b is not None:
+            w_b_y = QPoly([0] * (b + k) + [1])
+            if term == "main":
+                main = main + w_b_y
+            else:
+                tail = tail + w_b_y.scale(2)
+        return main, tail
+
+    monkeypatch.setattr(zeta, "_local_factors", local_factors)
+
+
+def test_a_wrong_main_term_factor_fails_the_check(monkeypatch, m_anchor_spec, inert_spec):
+    _mutated_local_factors(monkeypatch, "main")
+    for spec in (m_anchor_spec, inert_spec):
+        result = decomposition_check(spec)
+        assert result.ok is False
+        assert not result.difference.is_zero()
+
+
+def test_a_wrong_correction_term_factor_fails_the_check(monkeypatch, m_anchor_spec, inert_spec,
+                                                        split_spec):
+    # c(0) = 0: a genus-0 spec has no correction term to get wrong
+    assert decomposition_check(m_anchor_spec).ok
+    _mutated_local_factors(monkeypatch, "correction")
+    assert decomposition_check(m_anchor_spec).ok
+    for spec in (inert_spec, split_spec):
+        assert decomposition_check(spec).ok is False
+
+
+@st.composite
+def realizable_specs(draw):
+    """Genus 0 or 1 over a small F_q, d <= 8, up to 8 bad places the field has."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    genus = draw(st.integers(0, 1))
+    trace = None
+    if genus:
+        bound = isqrt(4 * q)
+        trace = draw(st.sampled_from([a for a in range(-bound, bound + 1)
+                                      if _trace_realizable(q, a)]))
+    d = draw(st.integers(2, 8))
+    room = {k: place_count(q, k, trace) for k in (1, 2, 3)}
+    places = []
+    for _ in range(draw(st.integers(0, 8))):
+        degrees = [k for k, count in room.items() if count]
+        if not degrees:
+            break
+        k = draw(st.sampled_from(degrees))
+        room[k] -= 1
+        places.append(BadPlace(f_v=k, vf=draw(st.integers(1, d - 1))))
+    return ProblemSpec(q=q, genus=genus, d=d, bad_places=tuple(places), frobenius_trace=trace)
+
+
+@settings(max_examples=80)
+@given(spec=realizable_specs())
+def test_decomposition_identity_on_realizable_specs(spec):
+    result = decomposition_check(spec)
+    assert result.ok
+    if len(spec.bad_places) <= 4:
+        assert _literal_region_sum(spec) == result.assembled
 
 
 def test_leading_coefficient_invariant(matrix_specs):
