@@ -27,13 +27,21 @@ in the tests:
 * ``fast`` (default): walk denominators only.  For a fixed monic Q the
   coprime numerators of degree < deg Q are exactly the unit residues mod Q,
   and each residue class contributes (q-1)q^(a-deg Q) numerators of exact
-  degree a >= deg Q, so per-denominator tallies need only the unit count of
-  F_q[t]/Q and the divisibility of Q by the bad places.  Both come from one
-  multiplicative sieve per call over the monic irreducibles of degree <= n
-  (Euler's phi for F_q[t]; Rosen, *Number Theory in Function Fields*,
-  ch. 1), which finds the irreducibles itself; no factorization, necklace
-  formula or zeta identity enters.  This is still counting from first
-  principles, place by place.
+  degree a >= deg Q, so the tally needs, per degree and per set of bad
+  places dividing Q, only the sum of the unit counts of F_q[t]/Q.  One
+  multiplicative sieve per call over the monic irreducibles (Euler's phi
+  for F_q[t]; Rosen, *Number Theory in Function Fields*, ch. 1), which
+  finds the irreducibles itself, gives each degree's row of unit counts,
+  and only their row sums are kept.  The split of a row sum by bad
+  divisors comes from lower degrees by a recursion over the bad places
+  (``_unit_sums``), which uses the same multiplicativity: no denominator
+  is tested for a bad divisor.  The sieve runs only as deep as the request
+  reads: a denominator with bad divisors M has degree >= deg P_M, P_M the
+  product of M's places, and ``count_canonical_heights`` reads M only up
+  to the height h_M at which m stays <= m_max, so the sieve stops at the
+  largest h_M - deg P_M; at m_max = d*n with any bad place that is below
+  n.  No factorization, necklace formula or zeta identity enters.  This is
+  still counting from first principles, place by place.
 
 Both hot loops are digit walks (``_affine_codes``).  A polynomial's code,
 its coefficients in base q, is also a base-p number whose digits are the
@@ -48,8 +56,8 @@ is XOR, so that element is one int and a step is one ``code ^= step``.  For
 odd p no int operation adds base-p digits, and the code follows digit by
 digit; digits are read only for this odd-p stepper, each image's once.  The
 sieve takes L(g) = pi*g, the proper multiples of an irreducible pi: it sets
-pi's own entry where it finds pi, and never walks an irreducible of the top
-degree n, which has no multiple left to visit.  The enumerate walk takes
+pi's own entry where it finds pi, and never walks an irreducible of its top
+degree, which has no multiple left to visit.  The enumerate walk takes
 L(g) = g mod den, the residue of every numerator (and of every larger
 denominator, for the unit tables).  Below deg den reduction is the
 identity, so a residue walk steps once per block of up to
@@ -62,7 +70,8 @@ element's canonical height exponent m = d*h + sum of f_v*v(f) over the bad
 places with v(x) >= 0, and its region D_T is the one whose T is the
 complement of its mask, so the public counters are projections of the
 tally (``count_regions`` gives every region from one); the strategy only
-decides how the tally is filled.
+decides how the tally is filled, and ``fast`` fills each mask only up to
+the height its caller reads.
 """
 
 from __future__ import annotations
@@ -345,19 +354,18 @@ def enumerate_elements(field: FqField, n: int):
             yield RatFuncFq.from_canonical(num, den)
 
 
-def _sieve(field: FqField, n: int, bad_places):
-    """Yield (b, units, masks) per degree b <= n, walking each denominator once.
+def _sieve(field: FqField, n: int):
+    """Yield (b, units) per degree b <= n, walking each denominator once.
 
-    ``units[c]`` is #(F_q[t]/Q)^* and ``masks[c]`` has bit i set when bad
-    place i divides Q, for the monic Q of degree b with code c: its low
-    coefficients in base q, constant fastest, which is the walk order.
-    Every entry starts at q^b.  A monic of degree b whose entry still reads
-    q^b when b is reached has no irreducible factor of smaller degree, so it
-    is an irreducible pi.  Its own entry becomes q^b - 1, with its mask bit
-    if pi is bad, in the pass that finds it; each proper multiple pi*g of
-    degree <= n then has its entry scaled by (1 - q^-b), exactly, and the
-    same bit set.  An irreducible of degree n has no such multiple, so it is
-    never walked.  By the time degree b is yielded its entries are final.
+    ``units[c]`` is #(F_q[t]/Q)^* for the monic Q of degree b with code c:
+    its low coefficients in base q, constant fastest, which is the walk
+    order.  Every entry starts at q^b.  A monic of degree b whose entry
+    still reads q^b when b is reached has no irreducible factor of smaller
+    degree, so it is an irreducible pi.  Its own entry becomes q^b - 1 in
+    the pass that finds it; each proper multiple pi*g of degree <= n then
+    has its entry scaled by (1 - q^-b), exactly.  An irreducible of degree n
+    has no such multiple, so it is never walked.  By the time degree b is
+    yielded its entries are final.
 
     The multiples pi*g of degree b + j, j >= 1, are visited as codes only, in
     the counter order of g: the first is pi*t^j, whose code is pi's times q^j,
@@ -366,18 +374,15 @@ def _sieve(field: FqField, n: int, bad_places):
     is multiplied out and no polynomial object is built.
     """
     q, p, e = field.q, field.p, field.e
-    bits = {_code(field, bp.pi): 1 << i for i, bp in enumerate(bad_places)}
     units = [[q**b] * q**b for b in range(n + 1)]
-    masks = [[0] * q**b for b in range(n + 1)]
     carries = _ruler(p, max(n - 1, 0) * e)
     for b in range(n + 1):
         qb = q**b
-        row_u, row_m = units[b], masks[b]
+        row = units[b]
         # The walk proper: each denominator of degree b is visited here once.
-        found = [c for c, u in enumerate(row_u) if u == qb] if b else []
+        found = [c for c, u in enumerate(row) if u == qb] if b else []
         for c in found:
-            row_u[c] = qb - 1
-            bit = row_m[c] = bits.get(qb + c, 0)
+            row[c] = qb - 1
             if b == n:
                 continue  # no multiple of higher degree to visit
             # codes of y^r * pi for the e codes y^r = p^r; over a prime field just pi's
@@ -386,14 +391,12 @@ def _sieve(field: FqField, n: int, bad_places):
             steps = _counter_steps(p, [s * q**k for k in range(n - b) for s in scaled])
             low = _digits(p, c, b * e)  # the digits of pi without its leading 1
             for j in range(1, n - b + 1):
-                row_uj, row_mj = units[b + j], masks[b + j]
+                row_j = units[b + j]
                 for code in _affine_codes(p, [0] * (j * e) + low, c * q**j, steps,
                                           islice(carries, q**j - 1)):
-                    row_uj[code] = row_uj[code] // qb * (qb - 1)
-                    if bit:
-                        row_mj[code] |= bit
-        units[b] = masks[b] = None
-        yield b, row_u, row_m
+                    row_j[code] = row_j[code] // qb * (qb - 1)
+        units[b] = None
+        yield b, row
 
 
 def _degree_class_counts(q: int, b: int, units: int, n: int):
@@ -413,15 +416,60 @@ def _degree_class_counts(q: int, b: int, units: int, n: int):
         yield a, units * (q - 1) * q ** (a - b)
 
 
-def _tally(field: FqField, n: int, bad_places, method: str, override: bool = False) -> Counter:
+def _unit_sums(field: FqField, n: int, bad_places, top):
+    """Split each degree's total unit count by bad divisors: {M: (deg P_M, sums)}.
+
+    M is a set of bad places as a mask (bit i for place i) and P_M the
+    product of its places.  Write S_b(M) for #(F_q[t]/Q)^* summed over the
+    monic Q of degree b whose bad divisors are exactly M; it vanishes below
+    b = deg P_M, and ``sums[e]`` is S_b(M) at b = deg P_M + e.  ``top(M)``
+    is the highest b the caller reads for M, and the sets M with
+    deg P_M > n are left out, as nothing of degree <= n is divisible by P_M.
+
+    No denominator is looked at: the sieve's rows give T_b, the sum over
+    all Q of degree b, and the rest follows by recursion.  For M nonempty
+    with lowest place pi_i, of degree f_i, such a Q is pi_i times a Q' of
+    degree b - f_i whose bad divisors are M or M - {i}, and #(F_q[t]/Q)^*
+    is q^f_i or q^f_i - 1 times #(F_q[t]/Q')^* (the unit count is
+    multiplicative), so
+
+        S_b(M) = q^f_i*S_{b-f_i}(M) + (q^f_i - 1)*S_{b-f_i}(M - {i}),
+
+    and S_b({}) = T_b minus the sum over M nonempty.  Unrolled, S_b(M) reads
+    T only up to degree b - deg P_M, so the sieve is run only as deep as
+    the largest top(M) - deg P_M.  The sets M are built up from the highest
+    place down, each after M - {i}, so no pattern of total degree above n
+    is ever visited, however many bad places there are.
+    """
+    q = field.q
+    # (M, deg P_M, M - {i}, f_i, q^f_i), i the lowest place of M
+    sets = [(0, 0, 0, 0, 1)]
+    for i in reversed(range(len(bad_places))):
+        f = bad_places[i].f_v
+        sets += [(mask | 1 << i, deg + f, mask, f, q**f) for mask, deg, *_ in sets if deg + f <= n]
+    sums = {mask: [] for mask, *_ in sets}
+    empty = sums[0]
+    for e, units in _sieve(field, max(top(mask) - deg for mask, deg, *_ in sets)):
+        empty.append(sum(units) - sum(sums[mask][e - deg]
+                                      for mask, deg, *_ in sets[1:] if deg <= e))
+        for mask, deg, rest, f, qf in sets[1:]:
+            row = sums[mask]
+            row.append((qf * row[e - f] if e >= f else 0) + (qf - 1) * sums[rest][e])
+    return {mask: (deg, sums[mask]) for mask, deg, *_ in sets}
+
+
+def _tally(field: FqField, n: int, bad_places, top, method: str, override: bool = False) -> Counter:
     """Count every x with standard height exponent h <= n by (h, mask).
 
-    Bit i of mask is set when v(x) < 0 at bad place i.  ``fast`` sums the
-    sieve's unit counts per mask for each denominator degree: a numerator
-    coprime to Q has v(x) < 0 exactly at the bad places dividing Q.
-    ``enumerate`` sorts the parts of degree <= n into classes (degree, v at
-    each bad place), counts the coprime pairs per numerator and denominator
-    class, and measures each pair of classes by v(num) - v(den).
+    Bit i of mask is set when v(x) < 0 at bad place i.  ``top(mask)`` <= n
+    is the highest h the caller reads with that mask: ``fast`` tallies no h
+    above it, ``enumerate`` tallies every h <= n.  ``fast`` takes the unit
+    counts per denominator degree and exact set of bad divisors from
+    ``_unit_sums``: a numerator coprime to Q has v(x) < 0 exactly at the
+    bad places dividing Q.  ``enumerate`` sorts the parts of
+    degree <= n into classes (degree, v at each bad place), counts the
+    coprime pairs per numerator and denominator class, and measures each
+    pair of classes by v(num) - v(den).
     """
     if method not in ("fast", "enumerate"):
         raise ValueError(f"unknown counting method {method!r}")
@@ -430,12 +478,10 @@ def _tally(field: FqField, n: int, bad_places, method: str, override: bool = Fal
     _check_budget(field, n, override)
     tally: Counter = Counter()
     if method == "fast":
-        for b, units, masks in _sieve(field, n, bad_places):
-            sums: dict[int, int] = {}
-            for u, mask in zip(units, masks):
-                sums[mask] = sums.get(mask, 0) + u
-            for mask, u in sums.items():
-                for h, c in _degree_class_counts(field.q, b, u, n):
+        for mask, (deg, sums) in _unit_sums(field, n, bad_places, top).items():
+            h_top = top(mask)
+            for b, u in zip(range(deg, h_top + 1), sums):
+                for h, c in _degree_class_counts(field.q, b, u, h_top):
                     tally[h, mask] += c
     else:
         q = field.q
@@ -470,12 +516,20 @@ def count_canonical_heights(
 
     Tallies standard height exponents up to floor(m_max/d), which suffices
     because m = d*h + sum of f_v*v(f) over the bad places with v(x) >= 0.
+    With mask M (the bad places where v(x) < 0) the tally is read only up
+    to h_M = floor((m_max - the weights off M)/d), and ``fast`` sieves no
+    deeper than those reads need.
     """
     d = phi.d
     weights = [bp.f_v * bp.vf for bp in phi.bad_places]
+
+    def shift(mask):  # m - d*h: the weights of the bad places where v(x) >= 0
+        return sum(w for i, w in enumerate(weights) if not mask >> i & 1)
+
     counts: dict[int, int] = {}
-    for (h, mask), c in _tally(phi.field, m_max // d, phi.bad_places, method, override).items():
-        m = d * h + sum(w for i, w in enumerate(weights) if not mask >> i & 1)
+    for (h, mask), c in _tally(phi.field, m_max // d, phi.bad_places,
+                               lambda mask: (m_max - shift(mask)) // d, method, override).items():
+        m = d * h + shift(mask)
         if m <= m_max:
             counts[m] = counts.get(m, 0) + c
     return CountTable(q=phi.field.q, d=d, counts=counts, max_m=m_max)
@@ -491,7 +545,8 @@ def count_regions(phi: PhiSpec, h_max: int, method: str = "fast") -> dict[frozen
     """
     k = len(phi.bad_places)
     counts: dict[int, dict[int, int]] = {}
-    for (h, mask), c in _tally(phi.field, h_max, phi.bad_places, method).items():
+    tally = _tally(phi.field, h_max, phi.bad_places, lambda mask: h_max, method)
+    for (h, mask), c in tally.items():
         counts.setdefault(mask, {})[h] = c
     return {frozenset(i for i in range(k) if not mask >> i & 1):
             CountTable(q=phi.field.q, d=phi.d, counts=cs, max_m=h_max)

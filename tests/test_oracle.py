@@ -27,6 +27,7 @@ F4 = FqField(2, 2, (1, 1, 1))
 F5 = FqField(5)
 F8 = FqField(2, 3, (1, 1, 0, 1))
 F9 = FqField(3, 2, (1, 0, 1))
+F29 = FqField(29)
 
 
 def test_enumeration_counts():
@@ -260,16 +261,23 @@ def _bad_places(field):
 
 
 def _assert_sieve_matches_factorization(field, n, bad):
+    # the sieve's unit counts, den by den, and the recursion's split of their row sums
+    # by exact set of bad divisors, against the unit counts of the factorization
+    expected: Counter = Counter()  # (b, mask) -> units summed over the dens of degree b
     degrees = []
-    for b, units, masks in oracle._sieve(field, n, bad):
+    for b, units in oracle._sieve(field, n):
         dens = list(monic_polys(field, b))
-        assert len(dens) == len(units) == len(masks) == field.q**b
-        for den, u, mask in zip(dens, units, masks):
+        assert len(dens) == len(units) == field.q**b
+        for den, u in zip(dens, units):
             assert u == _reference_unit_count(den), den
-            expected = sum(1 << i for i, bp in enumerate(bad) if (den % bp.pi).is_zero())
-            assert mask == expected, den
+            mask = sum(1 << i for i, bp in enumerate(bad) if (den % bp.pi).is_zero())
+            expected[b, mask] += u
         degrees.append(b)
     assert degrees == list(range(n + 1))
+    split = oracle._unit_sums(field, n, bad, lambda mask: n)
+    got = {(b, mask): s for mask, (deg, sums) in split.items()
+           for b, s in zip(range(deg, n + 1), sums) if s}
+    assert got == expected
 
 
 @pytest.mark.parametrize(
@@ -283,7 +291,8 @@ def test_sieve_matches_factorization(field, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F8, F9], ids=lambda f: f.q)
 def test_sieve_sets_the_bit_of_a_bad_place_of_degree_n(field, n):
-    # the sieve walks no irreducible of degree n, yet must still mark one that is bad
+    # the sieve walks no irreducible of degree n, yet the split must still count one that
+    # is bad under its bit, from the row sum at degree n and the lower degrees
     top = [pi for pi in monic_polys(field, n) if pi.is_irreducible()]
     pis = {top[0], top[-1], next(monic_polys(field, 1))}
     bad = tuple(BadPlace(f_v=pi.degree, vf=1, pi=pi) for pi in sorted(pis, key=lambda pi: pi.coeffs))
@@ -312,6 +321,70 @@ def test_sieve_rows_match_factorization_for_any_bad_set(q, size, picks):
     pis = sorted({irr[i % len(irr)] for i in picks}, key=lambda pi: (pi.degree, pi.coeffs))
     bad = tuple(BadPlace(f_v=pi.degree, vf=1, pi=pi) for pi in pis)
     _assert_sieve_matches_factorization(field, min(size, n_max), bad)
+
+
+# per q: the largest n at which enumerate stays within a few tens of ms
+DEPTH_FIELDS = {2: (F2, 6), 3: (F3, 4), 4: (F4, 3), 5: (F5, 2), 9: (F9, 2)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.sampled_from(sorted(DEPTH_FIELDS)),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 3)), max_size=3),
+    lead=st.integers(1, 8),
+    d=st.integers(2, 4),
+    size=st.integers(0, 6),
+    residue=st.integers(0, 3),
+)
+@example(q=5, picks=[(0, 3), (5, 3), (6, 3)], lead=1, d=4, size=1, residue=3)  # m_max 7 < weight 15
+def test_fast_reads_as_deep_as_enumerate(q, picks, lead, d, size, residue):
+    # 0-3 bad places of degree 1-2 and m_max in every class mod d, also below the total
+    # weight, where some sets of bad places are read at no height at all
+    field, n_max = DEPTH_FIELDS[q]
+    irr = [pi for pi in _places_of_degree_at_most_3(q) if pi.degree <= 2]
+    f = field.poly((lead % (q - 1) + 1,))
+    for pi, k in {irr[i % len(irr)]: min(k, d - 1) for i, k in picks}.items():
+        f = f * pi.pow_(k)
+    phi = validate_phi(f, d)
+    m_max = d * min(size, n_max) + residue % d
+    fast = count_canonical_heights(phi, m_max, method="fast")
+    assert fast.counts == count_canonical_heights(phi, m_max, method="enumerate").counts
+
+
+@pytest.mark.parametrize(
+    "field, f_text, d", [(F2, "t", 2), (F3, "t^2+t", 3), (F5, "t^3+2t", 3), (F9, "t^2+1", 2)],
+    ids=lambda x: getattr(x, "q", x),
+)
+def test_the_sieve_runs_only_as_deep_as_the_request_reads(monkeypatch, field, f_text, d):
+    # at m_max = d*n with a bad place, a set M of bad places is read up to height n only if it
+    # holds every place, and then from degree deg P_M >= 1 on: no T_b above b = n - 1 is needed
+    depths = []
+    sieve = oracle._sieve
+    monkeypatch.setattr(oracle, "_sieve", lambda field, n: depths.append(n) or sieve(field, n))
+    phi = validate_phi(poly_from_string(field, f_text), d)
+    assert phi.bad_places
+    n = 3
+    count_canonical_heights(phi, d * n)
+    count_regions(phi, n)
+    assert depths[0] < n == depths[1]
+    depths.clear()
+    count_canonical_heights(validate_phi(field.poly_one(), d), d * n)  # no bad place
+    assert depths == [n]
+
+
+def test_many_bad_places_split_without_walking_every_subset():
+    # 24 places of degree 1: the split visits the 25 sets of total degree <= 1, not 2^24
+    f = F29.poly_one()
+    for c in range(24):
+        f = f * PolyFq(F29, (c, 1))
+    phi = validate_phi(f, 30)
+    assert len(phi.bad_places) == 24
+    # below the total weight 24 nothing is read; 30 reads height 0 with no bad divisor,
+    # 53 adds height 1 with one bad divisor, and 59 every x of height <= 1
+    for m_max in (20, 30, 53, 59):
+        fast = count_canonical_heights(phi, m_max)
+        assert fast.counts == count_canonical_heights(phi, m_max, method="enumerate").counts
+    assert count_regions(phi, 1) == count_regions(phi, 1, method="enumerate")
 
 
 @pytest.mark.parametrize(
