@@ -24,8 +24,10 @@ codes: 0 success, 2 input or validation error, 3 failed internal identity,
 output early, as `| head` does.
 
 Only what reading a spec and `zeta` need is imported at module level;
-`asymptotics`, `oracle` and `curves` are imported inside the commands that
-use them, so a process compiles only the modules on its command's path.
+`poles`, `asymptotics`, `oracle` and `curves` are imported inside the
+commands that use them, so a process compiles only the modules on its
+command's path: `poles` builds the pole records alone, without the
+principal parts that `asymptotics` splits off.
 
 A command process (``python -m heightzeta.cli`` or the ``heightzeta``
 script, both through ``run``) calls ``gc.freeze()`` once the command is
@@ -253,26 +255,22 @@ def _poly_text(coeffs: list[int]) -> str:
     return "".join(parts)
 
 
-def _report_for(spec: ProblemSpec):
-    from .asymptotics import build_report
-
-    closed = assemble_zeta(spec)
-    return build_report(closed.combined, spec.q, spec.d)
-
-
 def cmd_poles(args) -> int:
+    from .poles import exponent_gcd_normalize, unit_disk_poles
+
     spec = _read_spec(args.spec)
-    report = _report_for(spec)
+    e, zt = exponent_gcd_normalize(assemble_zeta(spec).combined)
+    pole_records = unit_disk_poles(zt, spec.q, spec.d, e)
     records = []
-    for rec in report.pole_records:
+    for rec in pole_records:
         min_poly = [int(c) for c in rec.factor.coeffs]
         records.append(
             {
                 "min_poly": min_poly,
                 "order": rec.order,
                 "modulus": float(f"{rec.modulus:.12g}"),
-                "alpha_exponent": report.alpha_exponent,
-                "alpha": f"{spec.q}^({report.alpha_exponent}/{spec.d})",
+                "alpha_exponent": e,
+                "alpha": f"{spec.q}^({e}/{spec.d})",
                 "poles": [
                     [float(f"{re:.12g}"), float(f"{im:.12g}")] for re, im in rec.numeric_poles
                 ],
@@ -285,8 +283,8 @@ def cmd_poles(args) -> int:
     if args.format == "json":
         print(json.dumps(records, indent=2))
     else:
-        print(f"{len(records)} pole record(s); alpha = {spec.q}^({report.alpha_exponent}/{spec.d})")
-        for rec, rj in zip(report.pole_records, records):
+        print(f"{len(records)} pole record(s); alpha = {spec.q}^({e}/{spec.d})")
+        for rec in pole_records:
             print(f"  factor {poly_str(rec.factor, 'u')} (order {rec.order}, modulus {rec.modulus:.6g})")
             for re, im in rec.numeric_poles:
                 print(f"    pole at s = {re:.6g} + {im:.6g} i")
@@ -301,7 +299,9 @@ def cmd_asymptote(args) -> int:
         raise InputError("bound exponent must be >= 0")
     ks = [kmax] if args.bound_exponent is not None else list(range(kmax + 1))
     spec = _read_spec(args.spec)
-    report = _report_for(spec)
+    from .asymptotics import build_report, main_terms
+
+    report = build_report(assemble_zeta(spec).combined, spec.q, spec.d)
     phi = _phi_for_oracle(spec)
     oracle_cumulative = None
     if phi is not None:
@@ -312,8 +312,6 @@ def cmd_asymptote(args) -> int:
             oracle_cumulative = list(accumulate(table[m] for m in range(kmax + 1)))
         except BudgetExceeded:
             pass
-    from .asymptotics import main_terms
-
     mains = main_terms(report, kmax)
     rows = []
     for k in ks:

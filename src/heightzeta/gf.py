@@ -48,16 +48,17 @@ def _power(x, n: int, one, mul=operator.mul):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and _prime_divisors(n) == [n]
+
+
+def _digits(p: int, code: int, size: int) -> list[int]:
+    """The ``size`` lowest base-p digits of a code, lowest first.
+
+    A polynomial's code is a base-p number whose digits are the F_p
+    coordinates of its coefficients, and adding two polynomials adds their
+    digits mod p, one by one.
+    """
+    return [code // p**i % p for i in range(size)]
 
 
 class FqField:
@@ -205,12 +206,8 @@ def _log_tables(p: int, e: int, mod: tuple[int, ...]):
     base = FqField(p)
     modulus = PolyFq(base, mod)
     cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
-
-    def digits(code, k):
-        return [code // p**i % p for i in range(k)]
-
     for g in range(2, q):
-        gen = PolyFq(base, digits(g, e))
+        gen = PolyFq(base, _digits(p, g, e))
         if all(not gen.powmod(n, modulus).is_one() for n in cofactors):
             break
     # v -> v*g is F_p-linear, so with v = lo + y^h*hi the digits of v*g are
@@ -223,8 +220,8 @@ def _log_tables(p: int, e: int, mod: tuple[int, ...]):
         cs = (PolyFq(base, vec) * gen % modulus).coeffs
         return cs + (0,) * (e - len(cs))
 
-    lows = [row(digits(c, h)) for c in range(split)]
-    highs = [row([0] * h + digits(c, e - h)) for c in range(q // split)]
+    lows = [row(_digits(p, c, h)) for c in range(split)]
+    highs = [row([0] * h + _digits(p, c, e - h)) for c in range(q // split)]
     weights = [p**i for i in range(e)]
     exp = [0] * (2 * (q - 1))
     log = [0] * q
@@ -444,15 +441,6 @@ class PolyFq:
         if pi.degree < 1:
             raise ValueError("ord_at needs pi of positive degree")
         k = 0
-        if self.field.e == 1:
-            p = self.field.p
-            f, b = self.coeffs, pi.coeffs
-            while True:
-                quot, rem = _fp_divmod(f, b, p)
-                if rem:
-                    return k
-                f = quot
-                k += 1
         f = self
         while True:
             q, r = divmod(f, pi)

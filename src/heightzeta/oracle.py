@@ -35,7 +35,10 @@ in the tests:
   and only their row sums are kept.  The split of a row sum by bad
   divisors comes from lower degrees by a recursion over the bad places
   (``_unit_sums``), which uses the same multiplicativity: no denominator
-  is tested for a bad divisor.  The sieve runs only as deep as the request
+  is tested for a bad divisor.  The counts by height follow from those
+  sums by one recurrence per set of bad divisors (``_tally``), one step
+  per height, with no case for the denominator 1: its one residue, 0, is a
+  unit mod 1, and it is x = 0.  The sieve runs only as deep as the request
   reads: a denominator with bad divisors M has degree >= deg P_M, P_M the
   product of M's places, and ``count_canonical_heights`` reads M only up
   to the height h_M at which m stays <= m_max, so the sieve stops at the
@@ -147,16 +150,6 @@ def _ruler(p: int, m: int) -> list[int]:
     return seq
 
 
-def _digits(p: int, code: int, size: int) -> list[int]:
-    """The ``size`` lowest base-p digits of a code, lowest first.
-
-    A polynomial's code is a base-p number whose digits are the F_p
-    coordinates of its coefficients, and adding two polynomials adds their
-    digits mod p, one by one.
-    """
-    return [code // p**i % p for i in range(size)]
-
-
 def _counter_steps(p: int, images):
     """Per carry position K: the image of the counter step, ready for ``_affine_codes``.
 
@@ -252,7 +245,7 @@ def _residue_codes(field: FqField, mod, start, size: int):
         j += 1
     low, trans = p**j, _translations(p, j)
     rem = _code(field, start % mod)
-    codes = _affine_codes(p, _digits(p, rem, b * e), rem,
+    codes = _affine_codes(p, gf._digits(p, rem, b * e), rem,
                           _counter_steps(p, images[j:]), _ruler(p, size * e - j))
     return chain.from_iterable(map(add, trans[c % low], repeat(c - c % low)) for c in codes)
 
@@ -299,7 +292,7 @@ def _unit_tables(field: FqField, n: int):
         while k and len(lower) * q**k > COLUMN_BYTES:
             k -= 1
         for high in range(q ** (b - k)):
-            start = gf.PolyFq(field, [0] * k + [high // q**i % q for i in range(b - k)] + [1])
+            start = gf.PolyFq(field, [0] * k + gf._digits(q, high, b - k) + [1])
             # cols[i][j] is 1 when the i-th m is coprime to the j-th den of the run
             cols = [bytes(map(units.__getitem__, _residue_codes(field, m, start, k)))
                     for m, units in lower]
@@ -389,7 +382,7 @@ def _sieve(field: FqField, n: int):
             scaled = [qb + c] if e == 1 else [sum(field.mul(p**r, (qb + c) // q**i % q) * q**i
                                                   for i in range(b + 1)) for r in range(e)]
             steps = _counter_steps(p, [s * q**k for k in range(n - b) for s in scaled])
-            low = _digits(p, c, b * e)  # the digits of pi without its leading 1
+            low = gf._digits(p, c, b * e)  # the digits of pi without its leading 1
             for j in range(1, n - b + 1):
                 row_j = units[b + j]
                 for code in _affine_codes(p, [0] * (j * e) + low, c * q**j, steps,
@@ -397,23 +390,6 @@ def _sieve(field: FqField, n: int):
                     row_j[code] = row_j[code] // qb * (qb - 1)
         units[b] = None
         yield b, row
-
-
-def _degree_class_counts(q: int, b: int, units: int, n: int):
-    """Yield (h, count) for coprime numerators by standard height exponent.
-
-    The denominators have degree b and ``units`` unit residues in total;
-    h = max(deg num, deg den); counts cover all coprime numerators with
-    deg <= n, including x = 0 when the denominator is 1.
-    """
-    if b == 0:
-        yield 0, 1  # x = 0
-        for a in range(0, n + 1):
-            yield a, (q - 1) * q**a
-        return
-    yield b, units  # all residues: deg num < b
-    for a in range(b, n + 1):
-        yield a, units * (q - 1) * q ** (a - b)
 
 
 def _unit_sums(field: FqField, n: int, bad_places, top):
@@ -466,7 +442,12 @@ def _tally(field: FqField, n: int, bad_places, top, method: str, override: bool 
     above it, ``enumerate`` tallies every h <= n.  ``fast`` takes the unit
     counts per denominator degree and exact set of bad divisors from
     ``_unit_sums``: a numerator coprime to Q has v(x) < 0 exactly at the
-    bad places dividing Q.  ``enumerate`` sorts the parts of
+    bad places dividing Q.  With S_h the unit sum at degree h and mask M,
+    height h holds q*S_h elements over the denominators of degree h (each
+    unit residue, and q - 1 numerators of degree h per residue) and
+    (q-1)*R_h over those of lower degree b, where R_h is the sum of
+    S_b*q^(h-b) over b < h: R is 0 at h = deg P_M and steps as
+    R_(h+1) = q*(R_h + S_h).  ``enumerate`` sorts the parts of
     degree <= n into classes (degree, v at each bad place), counts the
     coprime pairs per numerator and denominator class, and measures each
     pair of classes by v(num) - v(den).
@@ -476,15 +457,15 @@ def _tally(field: FqField, n: int, bad_places, top, method: str, override: bool 
     if n < 0:
         raise ValueError("bound exponent must be >= 0")
     _check_budget(field, n, override)
+    q = field.q
     tally: Counter = Counter()
     if method == "fast":
         for mask, (deg, sums) in _unit_sums(field, n, bad_places, top).items():
-            h_top = top(mask)
-            for b, u in zip(range(deg, h_top + 1), sums):
-                for h, c in _degree_class_counts(field.q, b, u, h_top):
-                    tally[h, mask] += c
+            r = 0  # R_h: the sum of S_b(M)*q^(h-b) over deg P_M <= b < h
+            for h, s in zip(range(deg, top(mask) + 1), sums):
+                tally[h, mask] = q * s + (q - 1) * r
+                r = q * (r + s)
     else:
-        q = field.q
         bits = [1 << i for i in range(len(bad_places))]
         # one class per (deg, v at each bad place) of the parts of degree <= n, in code order
         degrees = [-1] + [a for a in range(n + 1) for _ in range((q - 1) * q**a)]

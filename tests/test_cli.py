@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import heightzeta.asymptotics as asymptotics
 import heightzeta.cli as cli
 import heightzeta.oracle as oracle
+import heightzeta.poles as poles
 import heightzeta.zeta as zeta
 from heightzeta.asymptotics import RemainderCheck
 from heightzeta.cli import load_spec, main, spec_to_json
@@ -250,8 +251,9 @@ def test_cli_start_up_loads_neither_sympy_nor_numpy(tmp_path):
 
 # Submodules on each command's path; every other one must stay unloaded.
 ON_EVERY_PATH = ["cli", "fqt", "gf", "places", "qfuncs", "zeta"]
-# poles and asymptote add the pole layers; zeta and a spec refused while it is read do not
-POLE_PATH = sorted(["asymptotics", "poles", "zfactor", *ON_EVERY_PATH])
+# poles adds the pole layers and asymptote also asymptotics; zeta and a spec refused while it
+# is read do neither
+POLE_PATH = sorted(["poles", "zfactor", *ON_EVERY_PATH])
 RUN_CLI = "from heightzeta.cli import main\nmain(sys.argv[1:])"
 
 
@@ -265,7 +267,7 @@ RUN_CLI = "from heightzeta.cli import main\nmain(sys.argv[1:])"
         (RUN_CLI, ["zeta"], G0, ON_EVERY_PATH),
         (RUN_CLI, ["zeta"], {"q": 6, "genus": 0, "d": 2, "f": "t"}, ON_EVERY_PATH),
         (RUN_CLI, ["poles"], M_ANCHOR, POLE_PATH),
-        (RUN_CLI, ["asymptote", "--all-up-to", "4"], INERT, POLE_PATH),
+        (RUN_CLI, ["asymptote", "--all-up-to", "4"], INERT, sorted(["asymptotics", *POLE_PATH])),
         (RUN_CLI, ["curve", "--q", "5", "--h", "t^3+1", "--f", "t", "--d", "2"], None,
          sorted(["curves", *ON_EVERY_PATH])),
     ],
@@ -294,9 +296,10 @@ def test_start_up_loads_only_the_modules_on_the_path(tmp_path, action, argv, spe
         ("import heightzeta.qfuncs", [], None),
         ("import heightzeta.cli", [], None),
         (RUN_CLI, ["zeta"], G0),
+        (RUN_CLI, ["poles"], M_ANCHOR),
         (RUN_CLI, ["curve", "--q", "5", "--h", "t^3+1", "--f", "t", "--d", "2"], None),
     ],
-    ids=["qfuncs", "cli", "zeta", "curve"],
+    ids=["qfuncs", "cli", "zeta", "poles", "curve"],
 )
 def test_shared_path_loads_no_dataclasses(tmp_path, action, argv, spec):
     # dataclasses imports inspect, ast and dis: about 12 ms of every process's start-up
@@ -309,6 +312,17 @@ def test_shared_path_loads_no_dataclasses(tmp_path, action, argv, spec):
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert run.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_poles_computes_no_principal_parts(tmp_path, monkeypatch, fmt):
+    def refuse(*args):
+        raise AssertionError("poles needs no principal parts")
+
+    # asymptotics holds its own binding of the name, which build_report reads
+    for module in (poles, asymptotics):
+        monkeypatch.setattr(module, "split_principal_parts", refuse)
+    assert main(["poles", "--spec", _write(tmp_path, "m.json", M_ANCHOR), "--format", fmt]) == 0
 
 
 def test_closed_output_pipe_exits_141_quietly(tmp_path):

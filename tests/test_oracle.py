@@ -387,6 +387,14 @@ def test_many_bad_places_split_without_walking_every_subset():
     assert count_regions(phi, 1) == count_regions(phi, 1, method="enumerate")
 
 
+@pytest.mark.parametrize("method", ["fast", "enumerate"])
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F9, F29], ids=lambda f: f.q)
+def test_the_denominator_one_counts_zero_and_the_constants_at_height_0(field, method):
+    # only the denominator 1 reaches height 0: x = 0 and the q - 1 nonzero constants
+    for n in (0, 1):
+        assert oracle._tally(field, n, (), lambda mask: n, method)[0, 0] == field.q
+
+
 @pytest.mark.parametrize(
     "field, lin, quad, d, n",
     [(F4, (2, 1), (2, 1, 1), 3, 3), (F9, (4, 1), (3, 1, 1), 3, 2)],
