@@ -62,10 +62,15 @@ sieve takes L(g) = pi*g, the proper multiples of an irreducible pi: it sets
 pi's own entry where it finds pi, and never walks an irreducible of its top
 degree, which has no multiple left to visit.  The enumerate walk takes
 L(g) = g mod den, the residue of every numerator (and of every larger
-denominator, for the unit tables).  Below deg den reduction is the
+denominator, for the unit tables), and it only ever reads a table at
+those residues (``_read_residues``): den's unit table for the numerators,
+a lower m's unit table for the larger denominators, and a table that is 1
+at code 0 alone for the valuations.  Below deg den reduction is the
 identity, so a residue walk steps once per block of up to
-``RESIDUE_BLOCK`` codes and fills the block at C speed.  Neither builds a
-polynomial per step, and prime and extension fields share the walk.
+``RESIDUE_BLOCK`` codes, and the block reads one slice of the table,
+permuted by one precomputed translation of its low digits.  The steps of
+each modulus and each carry ruler are built once per count.  Neither walk
+builds a polynomial per step, and prime and extension fields share it.
 
 Both strategies fill one tally, {(h, mask): #x}: h is the standard height
 exponent and bit i of mask is set when v(x) < 0 at bad place i.  An
@@ -80,11 +85,11 @@ the height its caller reads.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, not_, xor
+from operator import add, itemgetter, xor
 
 from . import gf
 from .fqt import RatFuncFq, all_polys, monic_polys
@@ -92,7 +97,7 @@ from .gf import FqField
 from .places import PhiSpec
 
 DEFAULT_BUDGET = 10**8
-RESIDUE_BLOCK = 64  # most residues a walk step of ``_residue_codes`` covers
+RESIDUE_BLOCK = 64  # most residues a walk step of ``_read_residues`` covers
 COLUMN_BYTES = 2**20  # most coprimality flags ``_unit_tables`` holds at once
 
 
@@ -213,41 +218,58 @@ def _code(field: FqField, f) -> int:
 
 
 @lru_cache(maxsize=None)
-def _translations(p: int, j: int) -> tuple[tuple[int, ...], ...]:
-    """``trans[s][x]`` is the code of x + s, added digitwise mod p, for codes s, x < p^j."""
+def _translations(p: int, j: int) -> tuple:
+    """``trans[s]`` reads a run of p^j entries at the codes x + s, x = 0, 1, ...: a tuple.
+
+    x + s is added digitwise mod p, for codes s, x < p^j.  Each reader is one
+    ``itemgetter``, at C speed; for j = 0 the one entry comes as a 1-tuple.
+    """
     trans = ((0,),)
     for i in range(j):
         w = p**i
         trans = tuple(tuple(v + w * ((a + b) % p) for a in range(p) for v in row)
                       for b in range(p) for row in trans)
-    return trans
+    return tuple(itemgetter(*row) if j else tuple for row in trans)
 
 
-def _residue_codes(field: FqField, mod, start, size: int):
-    """Codes of (start + g) mod ``mod`` for g through the polynomials of degree < size.
+def _read_residues(field: FqField, plan: dict, mod, start, size: int, table):
+    """table[code of (start + g) mod ``mod``] for g through the polynomials of degree < size.
 
-    g runs in code order.  Reduction mod ``mod`` is F_p-linear, so the codes
-    come from a counter walk (``_affine_codes``) whose steps add the
-    precomputed codes of y^r t^k mod ``mod``; nothing is divided per step.
-    The walk steps only through g's base-p digits from position j on: the
-    j lowest are below deg ``mod``, where reduction is the identity, so the
-    p^j codes under each step are that step's code with its low j digits
-    translated by every g_low (``_translations``), at C speed.
+    g runs in code order, and ``table`` has an entry per residue code below
+    q^deg(mod).  Reduction mod ``mod`` is F_p-linear, so the codes come from
+    a counter walk (``_affine_codes``) whose steps add the codes of
+    y^r t^k mod ``mod``; nothing is divided per step.  The walk steps only
+    through g's base-p digits from position j on: the j lowest are below
+    deg ``mod``, where reduction is the identity, so the p^j codes under a
+    step's code c keep c's high digits and translate its low digits s by
+    every g_low.  They read one slice of ``table``, the p^j entries from
+    c - s on, in the order of the translation row of s (``_translations``),
+    at C speed.  ``plan`` belongs to one count: it keeps the steps per
+    modulus and the carry ruler per walk length, each built once.  A walk
+    reads a prefix of its modulus's steps, which serve every walk of it
+    that takes a step: j is min(e*deg mod, the most digits of a block of
+    ``RESIDUE_BLOCK``) when size >= deg mod, and when size < deg mod the
+    walk takes a step only if e*size exceeds that most, so j is it again.
     """
     p, e, q, b = field.p, field.e, field.q, mod.degree
     if b == 0:
-        return repeat(0, q**size)  # mod 1 every residue is 0
-    # y^r t^k is its own residue below deg mod, with code p^r q^k
-    images = [p**r * q**k if k < b else _code(field, gf.PolyFq(field, (0,) * k + (p**r,)) % mod)
-              for k in range(size) for r in range(e)]
+        return repeat(table[0], q**size)  # mod 1 every residue is 0
     j = 0
     while j < min(b, size) * e and p ** (j + 1) <= RESIDUE_BLOCK:
         j += 1
+    walked = size * e - j
+    steps = plan.get(mod.coeffs, ())
+    if len(steps) < walked:
+        # y^r t^k is its own residue below deg mod, with code p^r q^k
+        images = [p**r * q**k if k < b else _code(field, gf.PolyFq(field, (0,) * k + (p**r,)) % mod)
+                  for k in range(size) for r in range(e)]
+        steps = plan[mod.coeffs] = _counter_steps(p, images[j:])
+    if walked not in plan:
+        plan[walked] = _ruler(p, walked)
     low, trans = p**j, _translations(p, j)
-    rem = _code(field, start % mod)
-    codes = _affine_codes(p, gf._digits(p, rem, b * e), rem,
-                          _counter_steps(p, images[j:]), _ruler(p, size * e - j))
-    return chain.from_iterable(map(add, trans[c % low], repeat(c - c % low)) for c in codes)
+    rem = 0 if start.is_zero() else _code(field, start % mod)
+    codes = _affine_codes(p, gf._digits(p, rem, b * e), rem, steps, plan[walked])
+    return chain.from_iterable(trans[s](table[c - s:c - s + low]) for c in codes for s in [c % low])
 
 
 def _monic_ranks(field: FqField, n: int) -> list[int]:
@@ -267,7 +289,7 @@ def _monic_ranks(field: FqField, n: int) -> list[int]:
     return ranks
 
 
-def _unit_tables(field: FqField, n: int):
+def _unit_tables(field: FqField, n: int, plan: dict):
     """Yield (den, units) per monic den of degree b <= n, in walk order.
 
     ``units[r]`` is 1 when the residue with code r < q^b is a unit mod den,
@@ -276,10 +298,12 @@ def _unit_tables(field: FqField, n: int):
     when m is coprime to den, so when den mod m is a unit mod m (Euclid's
     first step), and m's own table, yielded at the lower degree deg m, says
     so.  Per degree b, one residue walk per monic m of degree < b reads m's
-    table at den mod m for a run of consecutive dens of degree b, as many as
-    ``COLUMN_BYTES`` allows for all m together; each den's answers then
-    spread over the residues c*m through ``_monic_ranks``.  Tables are kept,
-    one byte per residue, only for the monic m of degree < n, which later
+    table at den mod m (``_read_residues``) for a run of consecutive dens of
+    degree b, as many as ``COLUMN_BYTES`` allows for all m together; each
+    den's answers then spread over the residues c*m through
+    ``_monic_ranks``.  m's walk steps come from ``plan``, built when m was
+    first walked, so no degree builds them again.  Tables are kept, one
+    byte per residue, only for the monic m of degree < n, which later
     denominators ask about.
     """
     q = field.q
@@ -287,53 +311,57 @@ def _unit_tables(field: FqField, n: int):
     kept = [(field.poly_one(), b"\1")]  # (m, units of m), monic m in rank order
     yield kept[0]
     for b in range(1, n + 1):
-        lower, ranks_b, dens = kept[:], ranks[: q**b], monic_polys(field, b)
+        lower, spread, dens = kept[:], itemgetter(*ranks[: q**b]), monic_polys(field, b)
         k = b  # a run is the q^k dens t^b + high*t^k + g, g of degree < k
         while k and len(lower) * q**k > COLUMN_BYTES:
             k -= 1
         for high in range(q ** (b - k)):
             start = gf.PolyFq(field, [0] * k + gf._digits(q, high, b - k) + [1])
             # cols[i][j] is 1 when the i-th m is coprime to the j-th den of the run
-            cols = [bytes(map(units.__getitem__, _residue_codes(field, m, start, k)))
-                    for m, units in lower]
+            cols = [bytes(_read_residues(field, plan, m, start, k, units)) for m, units in lower]
             for den, row in zip(islice(dens, q**k), zip(*cols)):
                 flags = b"\0" + bytes(row)
-                units = bytes(map(flags.__getitem__, ranks_b))
+                units = bytes(spread(flags))
                 if b < n:
                     kept.append((den, units))
                 yield den, units
 
 
-def _valuations(field: FqField, n: int, pi) -> list:
+def _valuations(field: FqField, n: int, pi, plan: dict) -> list:
     """v_pi(num) for every numerator of degree <= n in code order, +infinity for 0.
 
     v_pi(num) counts the powers pi^k dividing num, and pi^k | num exactly
-    when num mod pi^k has code 0 (``_residue_codes``).
+    when num mod pi^k has code 0: each power's residue walk reads a table
+    that is 1 at code 0 and 0 elsewhere (``_read_residues``).  Each power is
+    also a denominator of degree <= n, so its steps in ``plan`` serve the
+    count's element walk as well.
     """
     zero = gf.PolyFq(field, ())
     ords = [0] * field.q ** (n + 1)
     power = pi
     while power.degree <= n:
-        ords = list(map(add, ords, map(not_, _residue_codes(field, power, zero, n + 1))))
+        is_zero = b"\1".ljust(field.q**power.degree, b"\0")
+        ords = list(map(add, ords, _read_residues(field, plan, power, zero, n + 1, is_zero)))
         power = power * pi
     ords[0] = math.inf
     return ords
 
 
-def _walk(field: FqField, n: int):
+def _walk(field: FqField, n: int, plan: dict):
     """The one element walk: yield (den, selector) per monic den of degree <= n.
 
     ``selector`` runs over the numerators of degree <= n in code order, 0
     included, and is true exactly at those coprime to den.  So every x with
     max(deg num, deg den) <= n comes once, in canonical form and in the
     enumeration order.  A numerator is coprime to den exactly when num mod
-    den is a unit mod den (Euclid's first step), so the selector reads den's
-    unit table (``_unit_tables``) at the codes of num mod den
-    (``_residue_codes``); no numerator is divided and no gcd is taken.
+    den is a unit mod den (Euclid's first step), so the selector is den's
+    unit table (``_unit_tables``) read at the codes of num mod den
+    (``_read_residues``); no numerator is divided and no gcd is taken.
+    ``plan`` belongs to one count and keeps each modulus's walk steps.
     """
     zero = gf.PolyFq(field, ())
-    for den, units in _unit_tables(field, n):
-        yield den, map(units.__getitem__, _residue_codes(field, den, zero, n + 1))
+    for den, units in _unit_tables(field, n, plan):
+        yield den, _read_residues(field, plan, den, zero, n + 1, units)
 
 
 def enumerate_elements(field: FqField, n: int):
@@ -342,7 +370,7 @@ def enumerate_elements(field: FqField, n: int):
         raise ValueError("height exponent bound must be >= 0")
     _check_budget(field, n)
     nums = list(all_polys(field, n))
-    for den, selector in _walk(field, n):
+    for den, selector in _walk(field, n, {}):
         for num in compress(nums, selector):
             yield RatFuncFq.from_canonical(num, den)
 
@@ -379,8 +407,9 @@ def _sieve(field: FqField, n: int):
             if b == n:
                 continue  # no multiple of higher degree to visit
             # codes of y^r * pi for the e codes y^r = p^r; over a prime field just pi's
-            scaled = [qb + c] if e == 1 else [sum(field.mul(p**r, (qb + c) // q**i % q) * q**i
-                                                  for i in range(b + 1)) for r in range(e)]
+            scaled = [qb + c] if e == 1 else [
+                sum(field.mul(p**r, a) * q**i for i, a in enumerate(gf._digits(q, qb + c, b + 1)))
+                for r in range(e)]
             steps = _counter_steps(p, [s * q**k for k in range(n - b) for s in scaled])
             low = gf._digits(p, c, b * e)  # the digits of pi without its leading 1
             for j in range(1, n - b + 1):
@@ -450,7 +479,12 @@ def _tally(field: FqField, n: int, bad_places, top, method: str, override: bool 
     R_(h+1) = q*(R_h + S_h).  ``enumerate`` sorts the parts of
     degree <= n into classes (degree, v at each bad place), counts the
     coprime pairs per numerator and denominator class, and measures each
-    pair of classes by v(num) - v(den).
+    pair of classes by v(num) - v(den).  A denominator class with
+    valuations v_i takes its masks, one per numerator class, as the sum
+    over the places i of one list per (i, v_i), built once per count, that
+    holds bit i at each numerator class whose valuation at i is below v_i.
+    Its walks share one ``plan``, so each modulus's steps are built once
+    per count.
     """
     if method not in ("fast", "enumerate"):
         raise ValueError(f"unknown counting method {method!r}")
@@ -466,24 +500,25 @@ def _tally(field: FqField, n: int, bad_places, top, method: str, override: bool 
                 tally[h, mask] = q * s + (q - 1) * r
                 r = q * (r + s)
     else:
-        bits = [1 << i for i in range(len(bad_places))]
+        plan: dict = {}
         # one class per (deg, v at each bad place) of the parts of degree <= n, in code order
         degrees = [-1] + [a for a in range(n + 1) for _ in range((q - 1) * q**a)]
         classes: dict = {}
         class_ids = [classes.setdefault(key, len(classes)) for key in
-                     zip(degrees, *(_valuations(field, n, bp.pi) for bp in bad_places))]
+                     zip(degrees, *(_valuations(field, n, bp.pi, plan) for bp in bad_places))]
         keys = list(classes)
         # per denominator class: how many coprime numerators fall in each class
-        pairs: dict[int, Counter] = {}
-        for den, selector in _walk(field, n):
-            pairs.setdefault(class_ids[_code(field, den)], Counter()).update(
-                compress(class_ids, selector))
+        pairs: dict[int, Counter] = defaultdict(Counter)
+        for den, selector in _walk(field, n, plan):
+            pairs[class_ids[_code(field, den)]].update(compress(class_ids, selector))
+        # below[i, v][c] is bit i when numerator class c has a valuation below v at place i
+        below = {(i, v): [1 << i if key[i + 1] < v else 0 for key in keys]
+                 for i in range(len(bad_places)) for v in range(n + 1)}
         for j, counter in pairs.items():
             b, *den_ords = keys[j]
+            masks = list(map(sum, zip(repeat(0, len(keys)), *map(below.get, enumerate(den_ords)))))
             for i, c in counter.items():
-                a, *num_ords = keys[i]
-                mask = sum(bit for bit, u, v in zip(bits, num_ords, den_ords) if u < v)
-                tally[max(a, b), mask] += c
+                tally[max(keys[i][0], b), masks[i]] += c
     return tally
 
 

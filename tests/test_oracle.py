@@ -473,7 +473,7 @@ def test_enumerate_counts_equal_the_definitional_tally(q, coeffs, lead, d, size,
 def test_unit_table_matches_gcd(field, coeffs):
     # den = coeffs + [1]; its table is read at every residue r of degree < deg den, by code
     den = PolyFq(field, [c % field.q for c in coeffs] + [1])
-    units = next(u for m, u in oracle._unit_tables(field, den.degree) if m == den)
+    units = next(u for m, u in oracle._unit_tables(field, den.degree, {}) if m == den)
     residues = list(all_polys(field, den.degree - 1))
     assert len(units) == len(residues) == field.q**den.degree
     assert list(units) == [int(r.gcd(den).is_one()) for r in residues]
@@ -483,9 +483,9 @@ def test_unit_table_matches_gcd(field, coeffs):
 def test_unit_tables_do_not_depend_on_the_column_budget(monkeypatch, column_bytes):
     # a small budget splits each degree's denominators into runs, down to one per run
     cases = [(F3, 3), (F4, 3), (F5, 2), (F8, 2)]
-    expected = [list(oracle._unit_tables(field, n)) for field, n in cases]
+    expected = [list(oracle._unit_tables(field, n, {})) for field, n in cases]
     monkeypatch.setattr(oracle, "COLUMN_BYTES", column_bytes)
-    assert [list(oracle._unit_tables(field, n)) for field, n in cases] == expected
+    assert [list(oracle._unit_tables(field, n, {})) for field, n in cases] == expected
 
 
 def _digit_walk(p, digits, images, carries):
@@ -525,11 +525,48 @@ def test_a_counter_walk_adds_the_step_images_digit_by_digit(p, size, data):
     mod_low=st.lists(st.integers(0, 8), max_size=3),
     start=st.lists(st.integers(0, 8), max_size=5),
     size=st.integers(0, 3),
+    data=st.data(),
 )
-def test_residue_codes_list_the_residues_of_start_plus_every_g(field, mod_low, start, size):
-    # the codes of (start + g) mod mod for g of degree < size in code order; start mod mod at 0
+def test_residue_codes_list_the_residues_of_start_plus_every_g(field, mod_low, start, size, data):
+    # the codes of (start + g) mod mod for g of degree < size in code order, start mod mod at 0:
+    # read through the table of every code they come back unchanged, and through any table
+    # as that table's entries; the two reads share one plan, at sizes that may differ
     q = field.q
     mod = PolyFq(field, [c % q for c in mod_low] + [1])
     start = PolyFq(field, [c % q for c in start])
-    expected = [oracle._code(field, (start + g) % mod) for g in all_polys(field, size - 1)]
-    assert list(oracle._residue_codes(field, mod, start, size)) == expected
+
+    def residues(size):
+        return [oracle._code(field, (start + g) % mod) for g in all_polys(field, size - 1)]
+
+    plan: dict = {}
+    first = data.draw(st.integers(0, 3))
+    table = data.draw(st.binary(min_size=q**mod.degree, max_size=q**mod.degree))
+    got = oracle._read_residues(field, plan, mod, start, first, table)
+    assert list(got) == [table[code] for code in residues(first)]
+    codes = range(q**mod.degree)
+    assert list(oracle._read_residues(field, plan, mod, start, size, codes)) == residues(size)
+
+
+@pytest.mark.parametrize(
+    "field, n", [(F2, 5), (F3, 3), (F4, 2), (F5, 2), (F9, 2)], ids=lambda x: getattr(x, "q", x)
+)
+def test_a_count_builds_the_steps_of_each_walked_modulus_once(monkeypatch, field, n):
+    # one _counter_steps call per distinct modulus an enumerate count walks (the number j of
+    # low digits read by slice is the modulus's own in every walk that steps), and no plan
+    # outlives its count: a second count builds them all again
+    steps, read = oracle._counter_steps, oracle._read_residues
+    calls, walked = [], set()
+    monkeypatch.setattr(oracle, "_counter_steps",
+                        lambda p, images: calls.append(p) or steps(p, images))
+
+    def spy(field, plan, mod, start, size, table):
+        if mod.degree:  # mod 1 is read without a walk
+            walked.add(mod)
+        return read(field, plan, mod, start, size, table)
+
+    monkeypatch.setattr(oracle, "_read_residues", spy)
+    phi = validate_phi(poly_from_string(field, "t^2+t"), 2)
+    oracle.count_canonical_heights(phi, 2 * n, method="enumerate")
+    assert len(calls) == len(walked) == (field.q ** (n + 1) - field.q) // (field.q - 1)
+    oracle.count_canonical_heights(phi, 2 * n, method="enumerate")
+    assert len(calls) == 2 * len(walked)
