@@ -9,21 +9,20 @@ guard refuses runs past 10^8 of these unless overridden.
 Two counting strategies produce the same tables and cross-check each other
 in the tests:
 
-* ``enumerate``: visit every element once and measure it from the valuation
-  definitions; the slow, assumption-free path.  The walk finds each part's
-  data once per call rather than once per element: the degree and the
-  multiplicity of every bad place in each polynomial of degree <= n, which
-  serves numerators and monic denominators alike.  An element num/den then
-  has v(x) = v(num) - v(den) at each bad place (v(0) = +infinity), which is
-  ``places.valuation`` on canonical form.  Coprimality is Euclid's first
-  step, gcd(num, den) = gcd(num mod den, den): each denominator gets a
-  table of its unit residues, and each numerator is looked up there by
-  num mod den.  The table takes no gcd either: a residue c*m, m monic, is a
-  unit exactly when den mod m is a unit mod m, which m's table, built at
-  the lower degree deg m, answers.  It assumes nothing about unit counts,
-  the sieve or any numerator tally in closed form; it does assume that
-  canonical forms are the coprime pairs with a monic denominator, and that
-  the valuation of a product is the sum.
+* ``enumerate``: visit every element once and measure it from the
+  definitions; the slow, assumption-free path.  An element num/den in
+  canonical form has coprime parts, so v(x) < 0 at a bad place pi exactly
+  when pi divides den (Rosen, *Number Theory in Function Fields*, ch. 1),
+  and its height exponent is max(deg num, deg den): each denominator is
+  divided once by each bad place, and its coprime numerators are counted
+  per degree.  Coprimality is Euclid's first step, gcd(num, den) =
+  gcd(num mod den, den): each denominator gets a table of its unit
+  residues, and each numerator is looked up there by num mod den.  The
+  table takes no gcd either: a residue c*m, m monic, is a unit exactly
+  when den mod m is a unit mod m, which m's table, built at the lower
+  degree deg m, answers.  It assumes nothing about unit counts, the sieve
+  or any numerator tally in closed form; it does assume that canonical
+  forms are the coprime pairs with a monic denominator.
 * ``fast`` (default): walk denominators only.  For a fixed monic Q the
   coprime numerators of degree < deg Q are exactly the unit residues mod Q,
   and each residue class contributes (q-1)q^(a-deg Q) numerators of exact
@@ -64,10 +63,9 @@ degree, which has no multiple left to visit.  The enumerate walk takes
 L(g) = g mod den, the residue of every numerator (and of every larger
 denominator, for the unit tables), and it only ever reads a table at
 those residues (``_read_residues``): den's unit table for the numerators,
-a lower m's unit table for the larger denominators, and a table that is 1
-at code 0 alone for the valuations.  Below deg den reduction is the
-identity, so a residue walk steps once per block of up to
-``RESIDUE_BLOCK`` codes, and the block reads one slice of the table,
+and a lower m's unit table for the larger denominators.  Below deg den
+reduction is the identity, so a residue walk steps once per block of up
+to ``RESIDUE_BLOCK`` codes, and the block reads one slice of the table,
 permuted by one precomputed translation of its low digits.  The steps of
 each modulus and each carry ruler are built once per count.  Neither walk
 builds a polynomial per step, and prime and extension fields share it.
@@ -84,12 +82,11 @@ the height its caller reads.
 
 from __future__ import annotations
 
-import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, itemgetter, xor
+from operator import itemgetter, xor
 
 from . import gf
 from .fqt import RatFuncFq, all_polys, monic_polys
@@ -327,26 +324,6 @@ def _unit_tables(field: FqField, n: int, plan: dict):
                 yield den, units
 
 
-def _valuations(field: FqField, n: int, pi, plan: dict) -> list:
-    """v_pi(num) for every numerator of degree <= n in code order, +infinity for 0.
-
-    v_pi(num) counts the powers pi^k dividing num, and pi^k | num exactly
-    when num mod pi^k has code 0: each power's residue walk reads a table
-    that is 1 at code 0 and 0 elsewhere (``_read_residues``).  Each power is
-    also a denominator of degree <= n, so its steps in ``plan`` serve the
-    count's element walk as well.
-    """
-    zero = gf.PolyFq(field, ())
-    ords = [0] * field.q ** (n + 1)
-    power = pi
-    while power.degree <= n:
-        is_zero = b"\1".ljust(field.q**power.degree, b"\0")
-        ords = list(map(add, ords, _read_residues(field, plan, power, zero, n + 1, is_zero)))
-        power = power * pi
-    ords[0] = math.inf
-    return ords
-
-
 def _walk(field: FqField, n: int, plan: dict):
     """The one element walk: yield (den, selector) per monic den of degree <= n.
 
@@ -476,15 +453,15 @@ def _tally(field: FqField, n: int, bad_places, top, method: str, override: bool 
     unit residue, and q - 1 numerators of degree h per residue) and
     (q-1)*R_h over those of lower degree b, where R_h is the sum of
     S_b*q^(h-b) over b < h: R is 0 at h = deg P_M and steps as
-    R_(h+1) = q*(R_h + S_h).  ``enumerate`` sorts the parts of
-    degree <= n into classes (degree, v at each bad place), counts the
-    coprime pairs per numerator and denominator class, and measures each
-    pair of classes by v(num) - v(den).  A denominator class with
-    valuations v_i takes its masks, one per numerator class, as the sum
-    over the places i of one list per (i, v_i), built once per count, that
-    holds bit i at each numerator class whose valuation at i is below v_i.
-    Its walks share one ``plan``, so each modulus's steps are built once
-    per count.
+    R_(h+1) = q*(R_h + S_h).  ``enumerate`` reads each element's mask off
+    its denominator, as num and den are coprime: bit i is set when bad
+    place i divides den.  It counts den's coprime numerators (``_walk``)
+    by degree, over the code ranges that hold the numerators of each
+    degree: those of degree <= deg den have h = deg den, and those of
+    degree h > deg den have h.  No such count is 0, as 1 and
+    den*t^(h - deg den) + 1 are coprime to den, so no key holds 0.  Its
+    walks share one ``plan``, so each modulus's steps are built once per
+    count.
     """
     if method not in ("fast", "enumerate"):
         raise ValueError(f"unknown counting method {method!r}")
@@ -501,24 +478,13 @@ def _tally(field: FqField, n: int, bad_places, top, method: str, override: bool 
                 r = q * (r + s)
     else:
         plan: dict = {}
-        # one class per (deg, v at each bad place) of the parts of degree <= n, in code order
-        degrees = [-1] + [a for a in range(n + 1) for _ in range((q - 1) * q**a)]
-        classes: dict = {}
-        class_ids = [classes.setdefault(key, len(classes)) for key in
-                     zip(degrees, *(_valuations(field, n, bp.pi, plan) for bp in bad_places))]
-        keys = list(classes)
-        # per denominator class: how many coprime numerators fall in each class
-        pairs: dict[int, Counter] = defaultdict(Counter)
         for den, selector in _walk(field, n, plan):
-            pairs[class_ids[_code(field, den)]].update(compress(class_ids, selector))
-        # below[i, v][c] is bit i when numerator class c has a valuation below v at place i
-        below = {(i, v): [1 << i if key[i + 1] < v else 0 for key in keys]
-                 for i in range(len(bad_places)) for v in range(n + 1)}
-        for j, counter in pairs.items():
-            b, *den_ords = keys[j]
-            masks = list(map(sum, zip(repeat(0, len(keys)), *map(below.get, enumerate(den_ords)))))
-            for i, c in counter.items():
-                tally[max(keys[i][0], b), masks[i]] += c
+            b = den.degree
+            mask = sum(1 << i for i, bp in enumerate(bad_places) if (den % bp.pi).is_zero())
+            units = bytes(selector)
+            # numerators of degree <= b have the codes below q^(b+1), of degree h q^h..q^(h+1) - 1
+            for h in range(b, n + 1):
+                tally[h, mask] += units.count(1, q**h if h > b else 0, q ** (h + 1))
     return tally
 
 

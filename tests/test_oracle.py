@@ -439,6 +439,8 @@ def test_element_stream_matches_the_pairwise_reference(field, n):
     size=st.integers(1, 4),
     extra=st.integers(0, 2),
 )
+@example(q=2, coeffs=[0, 0, 1], lead=1, d=3, size=4, extra=0)  # t^2 (t+1): numerators carry t^2
+@example(q=3, coeffs=[1, 0], lead=1, d=2, size=2, extra=0)  # t^2+1: a bad place of degree 2
 def test_enumerate_counts_equal_the_definitional_tally(q, coeffs, lead, d, size, extra):
     field = FqField(q)
     f = PolyFq(field, [c % q for c in coeffs] + [lead % q or 1])
